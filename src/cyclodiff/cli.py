@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .completion import (
     perp_series_decompose,
@@ -30,7 +29,7 @@ from .completion import (
 from .constants import cell_rng, estimate_constants
 from .errors import PadicError
 from .harness import SUITE_NAMES, run_all, run_suite
-from .reportio import canonical_dumps, constants_to_report, envelope, validate_report
+from .reportio import constants_to_report, emit_report, envelope
 from .tower import CyclotomicTower, TowerParams
 
 CONFIG_KEYS = ("p", "s", "max_level", "prec")
@@ -128,16 +127,6 @@ def load_element(tower: CyclotomicTower, args):
     raise PadicError("an element is required: --element-file FILE or --random")
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
-    validate_report(report)
-    text = canonical_dumps(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -150,11 +139,11 @@ def main(argv=None) -> int:
                     for n in range(tower.max_level + 1)
                 },
             }
-            _emit(envelope(tower, "tower", args.seed, payload), args.out)
+            emit_report(envelope(tower, "tower", args.seed, payload), args.out)
             return 0
         if args.command == "constants":
             report = estimate_constants(tower, seed=args.seed, samples=args.samples)
-            _emit(constants_to_report(tower, report), args.out)
+            emit_report(constants_to_report(tower, report), args.out)
             return 0
         if args.command == "verify":
             constants = estimate_constants(
@@ -172,7 +161,7 @@ def main(argv=None) -> int:
                     constants=constants,
                     samples=args.samples,
                 )
-            _emit(report, args.out)
+            emit_report(report, args.out)
             return 0 if report["passed"] else 1
         if args.command == "decompose":
             x = load_element(tower, args)
@@ -182,12 +171,12 @@ def main(argv=None) -> int:
             except PadicError:
                 w2 = None
             payload = {"series": series.to_json(), "w2": w2}
-            _emit(envelope(tower, "perp-series", args.seed, payload), args.out)
+            emit_report(envelope(tower, "perp-series", args.seed, payload), args.out)
             return 0
         if args.command == "w2":
             x = load_element(tower, args)
             payload = {"w2": w2_valuation(tower, x), "level": x.level}
-            _emit(envelope(tower, "w2", args.seed, payload), args.out)
+            emit_report(envelope(tower, "w2", args.seed, payload), args.out)
             return 0
         if args.command == "series":
             with open(args.series_file, "r", encoding="utf-8") as fh:
@@ -195,17 +184,14 @@ def main(argv=None) -> int:
             if args.op == "invert":
                 result = series_invert(tower, series)
                 payload = {"series": result.to_json(), "op": "invert"}
-                _emit(envelope(tower, "perp-series", args.seed, payload), args.out)
+                emit_report(envelope(tower, "perp-series", args.seed, payload), args.out)
             else:
                 element = series_reconstruct(tower, series)
                 payload = {"element": element.to_json(), "op": "reconstruct"}
-                _emit(envelope(tower, "element", args.seed, payload), args.out)
+                emit_report(envelope(tower, "element", args.seed, payload), args.out)
             return 0
         raise PadicError(f"unhandled command {args.command!r}")
-    except PadicError as err:
-        print(f"tower: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (PadicError, OSError, json.JSONDecodeError) as err:
         print(f"tower: {err}", file=sys.stderr)
         return 2
 

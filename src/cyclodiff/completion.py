@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, ValuationOfZero
+from .padic import check_json
 from .tower import CyclotomicTower, TowerElement
 
 
@@ -74,12 +75,18 @@ class PerpSeries:
 
 
 def perp_series_from_json(tower: CyclotomicTower, obj: dict) -> PerpSeries:
+    """Series from the `PerpSeries.to_json` layout; malformed input raises
+    DomainError."""
+    check_json(obj, "series json", level=int, terms=list)
     comps = []
     for term in obj["terms"]:
+        check_json(term, "series term", n=int, coeffs=list)
         comps.append(tower.element_from_json({"level": term["n"], "coeffs": term["coeffs"]}))
     for n, comp in enumerate(comps):
         if comp.level != n:
             raise DomainError("series terms must be indexed consecutively from 0")
+    if len(comps) != obj["level"] + 1:
+        raise DomainError(f"a level {obj['level']} series needs {obj['level'] + 1} terms")
     return PerpSeries(obj["level"], tuple(comps))
 
 

@@ -9,7 +9,8 @@ Every constant is computed from tower data, never assumed:
 * c_2 bounds the normalized-trace denominators from basis minima (the
   projectors are coordinate masks, so the honest minimum is 0);
 * c_3 is the largest elementary divisor of 1 - g_n on the top perp lattices,
-  computed by integer Smith reduction mod p^G;
+  read off the package's one integer elimination kernel
+  (`differentials.echelon`) run mod p^G;
 * n_0 is the least shift making p^(n+n_0) O_{K_n} land in the kernel of d,
   reduced by the chain rule to a valuation minimum over monomials and
   spot-checked against the heavyweight route;
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InsufficientPrecision, ValuationOfZero
 from .padic import vp
 from .tower import CyclotomicTower
-from .differentials import different, differential, level_transition_factor
+from .differentials import different, differential, echelon, level_transition_factor
 
 
 def cell_rng(seed: int, tag: str, n: int, k: int) -> random.Random:
@@ -152,57 +153,18 @@ def one_minus_galois_matrix(
     return indices, cols
 
 
-def int_smith_valuations(
-    p: int, dim: int, columns: List[List[int]], modexp: int, where: str
-) -> List[int]:
-    """Elementary divisor valuations of an integer matrix over Z_p, working
-    mod p^modexp.  Global-minimum pivoting keeps elimination integral; a rank
-    shortfall inside the modulus window cannot be certified and raises."""
-    mod = p ** modexp
-    work = [[e % mod for e in col] for col in columns]
-    used = set()
-    divisors: List[int] = []
-    while work:
-        best = None  # (vp, row, colidx)
-        for ci, col in enumerate(work):
-            for r, entry in enumerate(col):
-                if r in used or entry == 0:
-                    continue
-                v = 0
-                e = entry
-                while e % p == 0:
-                    e //= p
-                    v += 1
-                if best is None or (v, r) < (best[0], best[1]):
-                    best = (v, r, ci)
-        if best is None:
-            raise InsufficientPrecision(
-                f"rank shortfall mod p^{modexp} in Smith reduction at {where}"
-            )
-        v, r, ci = best
-        pivot = work.pop(ci)
-        unit = pivot[r] // p ** v
-        unit_inv = pow(unit, -1, mod)
-        for other in work:
-            if other[r] == 0:
-                continue
-            f = (other[r] // p ** v) * unit_inv % mod
-            for i in range(dim):
-                if pivot[i]:
-                    other[i] = (other[i] - f * pivot[i]) % mod
-        divisors.append(v)
-        used.add(r)
-    return divisors
-
-
 def galois_defect_cell(tower: CyclotomicTower, n: int, k: int) -> int:
     """c_3(n, k): largest elementary divisor valuation of 1 - g_n on the
     perp lattice of level m = n + k."""
-    m = n + k
-    indices, cols = one_minus_galois_matrix(tower, n, m)
+    _, cols = one_minus_galois_matrix(tower, n, n + k)
     modexp = min(tower.prec, 24)
-    divs = int_smith_valuations(tower.p, len(indices), cols, modexp, f"cell ({n},{k})")
-    return max(divs)
+    _, pivots = echelon(tower.p, cols, modexp)
+    if len(pivots) < len(cols):
+        # a divisor hidden beyond p^modexp cannot be certified
+        raise InsufficientPrecision(
+            f"rank shortfall mod p^{modexp} in Smith reduction at cell ({n},{k})"
+        )
+    return max(v for _, v in pivots)
 
 
 def kernel_shift(tower: CyclotomicTower) -> int:

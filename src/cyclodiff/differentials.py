@@ -12,10 +12,13 @@ ideal.  Everything here is phrased through that presentation:
   rho_0^j * rho_n^i of O_{K_n} (j < phi(0), i < p^n), where the kernel of d
   and the layered sums sum_m p^m O_{K_m} can be compared head to head.
 
-`LatticeBasis` implements valuation-greedy column reduction over Z_p; because
-Z_p is a DVR, picking the globally minimal-valuation pivot keeps every
-elimination factor integral, and the same pivoting rule read off during full
-elimination yields the elementary divisors (Smith form over a DVR).
+Every elimination over Z_p runs through one integer kernel, `echelon`:
+valuation-greedy column reduction of plain ints mod p^N.  Because Z_p is a
+DVR, picking the globally minimal-valuation pivot keeps every elimination
+factor integral, and the pivot valuations are the elementary divisors (Smith
+form over a DVR).  `LatticeBasis` wraps it for scalar coordinate vectors,
+`elementary_divisor_valuations` reads the divisors off it, and the c_3 cells
+in `constants` call it on their integer matrices directly.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, ValuationOfZero
-from .padic import PadicScalar, vp
+from .padic import PadicScalar, pack_profile, vp
 from .tower import CyclotomicTower, RhoExpansion, TowerElement
 
 BASES = ("K0", "Qp")
@@ -210,10 +213,61 @@ def mixed_basis_elements(tower: CyclotomicTower, level: int) -> List[TowerElemen
 # ---------------------------------------------------------------------------
 
 
+def echelon(p: int, int_columns, digits: int):
+    """Column echelon form over Z_p of integer columns known mod p^digits.
+
+    The one elimination kernel of the package.  Each round picks the pivot
+    with the smallest (valuation, row) among the nonzero entries in unused
+    rows, the first column winning ties; Z_p is a DVR, so this global
+    minimum keeps every elimination factor integral.  The pivot column is
+    scaled until its pivot is exactly p^val and cleared from the remaining
+    columns.  Returns (pivot_columns, pivots) with pivots[k] = (row, val);
+    the vals ascend and are the elementary divisor valuations (Smith form
+    over a DVR).  Columns that vanish mod p^digits are dropped, so the rank
+    is len(pivots).
+    """
+    mod = p ** digits
+    work = [[e % mod for e in col] for col in int_columns]
+    used = set()
+    reduced, pivots = [], []
+    while work:
+        best = None  # (val, row, column index)
+        for ci, col in enumerate(work):
+            for r, entry in enumerate(col):
+                if entry == 0 or r in used:
+                    continue
+                v = vp(entry, p)
+                if best is None or (v, r) < best[:2]:
+                    best = (v, r, ci)
+        if best is None:
+            break
+        v, r, ci = best
+        pivot = work.pop(ci)
+        pv = p ** v
+        unit_inv = pow(pivot[r] // pv, -1, mod)
+        pivot = [e * unit_inv % mod for e in pivot]
+        for other in work:
+            if other[r] == 0:
+                continue
+            f = other[r] // pv
+            for i, e in enumerate(pivot):
+                if e:
+                    other[i] = (other[i] - f * e) % mod
+        reduced.append(pivot)
+        pivots.append((r, v))
+        used.add(r)
+    return reduced, pivots
+
+
 class LatticeBasis:
     """Column span over Z_p of a set of coordinate vectors, held in
-    valuation-greedy echelon form (pivot rows distinct, each pivot row
-    eliminated from all later columns)."""
+    valuation-greedy echelon form (pivot rows distinct, each pivot p^val
+    exactly and its row eliminated from all later columns).
+
+    A thin wrapper of `echelon`: the generators are lifted to integers with
+    one shift and one cap for the whole matrix (`pack_profile`), and the
+    pivot columns come back as scalars known to that cap.
+    """
 
     def __init__(self, p: int, dim: int, columns, pivots):
         self.p = p
@@ -223,37 +277,20 @@ class LatticeBasis:
 
     @classmethod
     def from_generators(cls, p: int, dim: int, generators) -> "LatticeBasis":
-        remaining = [list(col) for col in generators]
-        for col in remaining:
+        generators = [list(col) for col in generators]
+        for col in generators:
             if len(col) != dim:
                 raise DomainError("generator has wrong dimension")
-        reduced, pivots = [], []
-        used = set()
-        while True:
-            best = None
-            for ci, col in enumerate(remaining):
-                for r, entry in enumerate(col):
-                    if r in used or entry.is_bottom:
-                        continue
-                    key = (entry.val, r)
-                    if best is None or key < best[0]:
-                        best = (key, ci)
-            if best is None:
-                break
-            (v, r), ci = best
-            col = remaining.pop(ci)
-            scale = col[r].invert().shift(v)  # pivot becomes exactly p^v
-            col = [c * scale for c in col]
-            pinv = col[r].invert()
-            for other in remaining:
-                if not other[r].is_bottom:
-                    f = other[r] * pinv
-                    for i in range(dim):
-                        other[i] = other[i] - f * col[i]
-            reduced.append(col)
-            pivots.append((r, v))
-            used.add(r)
-        return cls(p, dim, reduced, pivots)
+        entries = [e for col in generators for e in col]
+        if not entries:
+            return cls(p, dim, [], [])
+        shift, digits = pack_profile(entries)
+        cap = shift + digits
+        reduced, pivots = echelon(
+            p, [[e.rep_mod(digits, shift) for e in col] for col in generators], digits
+        )
+        columns = [[PadicScalar.raw(p, shift, e, cap) for e in col] for col in reduced]
+        return cls(p, dim, columns, [(r, v + shift) for r, v in pivots])
 
     @property
     def rank(self) -> int:
@@ -285,40 +322,9 @@ class LatticeBasis:
 
 
 def elementary_divisor_valuations(p: int, dim: int, columns) -> List[int]:
-    """Valuations of the Smith normal form diagonal over Z_p, ascending.
-
-    Global-minimum pivoting makes every elimination factor integral; after a
-    column sweep the pivot row is zero elsewhere, so the implicit row sweep
-    touches only the pivot column and the divisors pop out one per round.
-    """
-    work = [list(col) for col in columns]
-    for col in work:
-        if len(col) != dim:
-            raise DomainError("column has wrong dimension")
-    used = set()
-    divisors: List[int] = []
-    while True:
-        best = None
-        for ci, col in enumerate(work):
-            for r, entry in enumerate(col):
-                if r in used or entry.is_bottom:
-                    continue
-                key = (entry.val, r)
-                if best is None or key < best[0]:
-                    best = (key, ci)
-        if best is None:
-            break
-        (v, r), ci = best
-        pivot = work.pop(ci)
-        pinv = pivot[r].invert()
-        for other in work:
-            if not other[r].is_bottom:
-                f = other[r] * pinv
-                for i in range(dim):
-                    other[i] = other[i] - f * pivot[i]
-        divisors.append(v)
-        used.add(r)
-    return divisors
+    """Valuations of the Smith normal form diagonal over Z_p, ascending: the
+    pivot valuations of the echelon form."""
+    return [v for _, v in LatticeBasis.from_generators(p, dim, columns).pivots]
 
 
 def commensurability_check(
@@ -359,9 +365,6 @@ class KernelLattice:
     level: int
     base: str
     exps: tuple
-
-    def as_ideal_exponents(self):
-        return self.exps
 
 
 def kernel_lattice(tower: CyclotomicTower, level: int, base: str = "K0") -> KernelLattice:

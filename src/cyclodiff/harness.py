@@ -42,6 +42,7 @@ from .differentials import (
     random_kernel_element,
 )
 from .errors import DomainError, ValuationOfZero
+from .padic import vp
 from .reportio import envelope
 from .tower import CyclotomicTower
 
@@ -324,7 +325,7 @@ def _run_rhoval(tower, seed, constants, samples):
             v = _val(tower, lhs - rhs)
             if v is None:
                 continue  # agreement below working precision
-            floor = Fraction(_vp_int(k, tower.p)) - m_c
+            floor = Fraction(vp(k, tower.p)) - m_c
             margin = v - floor
             checked += 1
             if n == 0 and k == 1:
@@ -365,14 +366,6 @@ def _run_rhoval(tower, seed, constants, samples):
             )
         )
     return out
-
-
-def _vp_int(k: int, p: int) -> int:
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
 
 
 def _run_theorem_b(tower, seed, constants, samples):

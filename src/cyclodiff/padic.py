@@ -41,6 +41,34 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+def check_json(obj, what: str, **fields) -> None:
+    """Raise DomainError unless ``obj`` is a JSON object holding every named
+    field with one of its given types (a JSON boolean is never an int)."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    for key, types in fields.items():
+        if key not in obj:
+            raise DomainError(f"{what} missing key {key!r}")
+        if isinstance(obj[key], bool) or not isinstance(obj[key], types):
+            raise DomainError(f"{what} key {key!r} has the wrong type")
+
+
+def pack_profile(scalars):
+    """(shift, digits): every scalar is p^shift * (rep + O(p^digits)).
+
+    One shift (the least valuation, a bottom counting at its cap) and one cap
+    (the least prec) for the whole batch, so the batch can be handled as
+    plain integers ``rep_mod(digits, shift)``.  The batch must be nonempty.
+    """
+    shift = None
+    cap = None
+    for c in scalars:
+        v = c.prec if c.val is None else c.val
+        shift = v if shift is None else min(shift, v)
+        cap = c.prec if cap is None else min(cap, c.prec)
+    return shift, cap - shift
+
+
 class PadicScalar:
     __slots__ = ("p", "prec", "val", "unit")
 
@@ -304,9 +332,7 @@ class PadicScalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PadicScalar":
-        for key in ("p", "val", "unit", "prec"):
-            if key not in obj:
-                raise DomainError(f"scalar json missing key {key!r}")
+        check_json(obj, "scalar json", p=int, val=(int, type(None)), unit=int, prec=int)
         if obj["val"] is None:
             return cls.bottom(obj["p"], obj["prec"])
         return cls.raw(obj["p"], obj["val"], obj["unit"], obj["prec"])

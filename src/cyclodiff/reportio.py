@@ -10,6 +10,7 @@ version, and the seed it was produced from.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
@@ -75,11 +76,16 @@ def canonical_dumps(report: dict) -> str:
     return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
-def emit_report(report: dict, path: str) -> str:
+def emit_report(report: dict, out: Optional[str] = None) -> None:
+    """Validate the report and write its canonical bytes to the file ``out``,
+    or to stdout when ``out`` is None."""
+    validate_report(report)
     text = canonical_dumps(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 REPORT_SCHEMA = {

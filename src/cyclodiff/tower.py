@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .errors import DivisionByZeroPadic, DomainError, ValuationOfZero
-from .padic import PadicScalar, vp
+from .padic import PadicScalar, check_json, pack_profile, vp
 
 
 def _is_prime(n: int) -> bool:
@@ -120,9 +121,6 @@ class TowerElement:
     def cap(self) -> int:
         """Absolute precision floor across the coordinates."""
         return min(c.prec for c in self.coeffs)
-
-    def support(self):
-        return [j for j, c in enumerate(self.coeffs) if not c.is_bottom]
 
     # ring ops go through the tower so caches are shared ------------------
 
@@ -345,9 +343,18 @@ class CyclotomicTower:
         return self.from_int_coeffs(level, coeffs, prec)
 
     def element_from_json(self, obj: dict) -> TowerElement:
+        """Element from ``{"level", "coeffs"}``; malformed input, a level
+        outside the tower, the wrong coordinate count or scalars over another
+        prime raise DomainError."""
+        check_json(obj, "element json", level=int, coeffs=list)
         level = obj["level"]
         self._check_level(level)
         coeffs = [PadicScalar.from_json(c) for c in obj["coeffs"]]
+        for c in coeffs:
+            if c.p != self.p:
+                raise DomainError(
+                    f"element json has a {c.p}-adic scalar in a {self.p}-adic tower"
+                )
         return TowerElement(self, level, coeffs)
 
     # -- addition ------------------------------------------------------------
@@ -360,8 +367,6 @@ class CyclotomicTower:
     def coerce_neg(self, x, level: int):
         if isinstance(x, TowerElement):
             return -x
-        if isinstance(x, PadicScalar):
-            return self.constant(level, -x)
         return self.constant(level, -x)
 
     def _align(self, x: TowerElement, y: TowerElement):
@@ -380,17 +385,6 @@ class CyclotomicTower:
 
     # -- multiplication (Kronecker substitution) -------------------------------
 
-    @staticmethod
-    def _pack_profile(x: TowerElement):
-        """(shift, digits): every coordinate is p^shift * (rep + O(p^digits))."""
-        shift = None
-        cap = None
-        for c in x.coeffs:
-            v = c.prec if c.is_bottom else c.val
-            shift = v if shift is None else min(shift, v)
-            cap = c.prec if cap is None else min(cap, c.prec)
-        return shift, cap - shift
-
     def mul(self, x: TowerElement, y) -> TowerElement:
         if isinstance(y, (int, PadicScalar)):
             return TowerElement(self, x.level, [c * y for c in x.coeffs])
@@ -399,8 +393,8 @@ class CyclotomicTower:
         x, y = self._align(x, y)
         p, level = self.p, x.level
         phi = self.phi(level)
-        sx, dx = self._pack_profile(x)
-        sy, dy = self._pack_profile(y)
+        sx, dx = pack_profile(x.coeffs)
+        sy, dy = pack_profile(y.coeffs)
         if dx <= 0 or dy <= 0 or x.is_all_bottom or y.is_all_bottom:
             # Nothing usable survives a product; only the cap is known.
             prec = min(sx + dx + sy, sy + dy + sx)
@@ -546,30 +540,24 @@ class CyclotomicTower:
         h = self.h(level)
         return [self.galois_by_unit(level, 1 + c * h) for c in range(self.p)]
 
-    def trace_down(self, x: TowerElement, level: int) -> TowerElement:
-        """Tr_{K_m/K_level}(x) by honest conjugate sums, one layer at a time."""
+    def _fold_conjugates(self, x: TowerElement, level: int, combine, what: str):
+        """Fold the conjugates of x with ``combine`` one layer at a time,
+        down to ``level``: the trace for add, the norm for mul."""
         self._check_level(level)
         if level > x.level:
-            raise DomainError("trace target above element level")
+            raise DomainError(f"{what} target above element level")
         while x.level > level:
-            acc = None
-            for g in self.relative_galois(x.level):
-                y = self.galois_apply(g, x)
-                acc = y if acc is None else self.add(acc, y)
-            x = self.restrict(acc, x.level - 1)
+            conjugates = (self.galois_apply(g, x) for g in self.relative_galois(x.level))
+            x = self.restrict(reduce(combine, conjugates), x.level - 1)
         return x
 
+    def trace_down(self, x: TowerElement, level: int) -> TowerElement:
+        """Tr_{K_m/K_level}(x) by honest conjugate sums, one layer at a time."""
+        return self._fold_conjugates(x, level, self.add, "trace")
+
     def norm_down(self, x: TowerElement, level: int) -> TowerElement:
-        self._check_level(level)
-        if level > x.level:
-            raise DomainError("norm target above element level")
-        while x.level > level:
-            acc = None
-            for g in self.relative_galois(x.level):
-                y = self.galois_apply(g, x)
-                acc = y if acc is None else self.mul(acc, y)
-            x = self.restrict(acc, x.level - 1)
-        return x
+        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a time."""
+        return self._fold_conjugates(x, level, self.mul, "norm")
 
     # -- normalized trace and perp projections ------------------------------------
 
@@ -616,7 +604,7 @@ class CyclotomicTower:
         transform c_k = (+-1)^k sum_j C(j,k) a_j of the zeta-coordinates.
         """
         phi = self.phi(x.level)
-        sx, dx = self._pack_profile(x)
+        sx, dx = pack_profile(x.coeffs)
         if dx <= 0 or x.is_all_bottom:
             return [PadicScalar.bottom(self.p, sx + max(dx, 0)) for _ in range(phi)]
         mod = self.p ** dx
@@ -645,7 +633,7 @@ class CyclotomicTower:
         """
         e = self.ramification(x.level)
         phi = self.phi(x.level)
-        sx, dx = self._pack_profile(x)
+        sx, dx = pack_profile(x.coeffs)
         if dx <= 0 or x.is_all_bottom:
             raise ValuationOfZero("element is zero at working precision")
         windows = sorted({min(8, dx), min(16, dx), min(32, dx), dx})
@@ -806,7 +794,7 @@ class CyclotomicTower:
         if r == 0:
             z_inv = self._invert_unit(self.scale_p(x, -a))
             return self.scale_p(z_inv, -a)
-        _, dx = self._pack_profile(x)
+        _, dx = pack_profile(x.coeffs)
         shift = self.rho_power(x.level, e - r, dx + 2)
         z = self.scale_p(self.mul(x, shift), -(a + 1))
         z_inv = self._invert_unit(z)

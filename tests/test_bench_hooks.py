@@ -1,0 +1,68 @@
+"""The benchmark traces cyclodiff from outside, by name (perfbench/layers.py).
+
+A simplification that deletes or renames a traced entry point would break
+the benchmark's traced runs without failing any other test; this one
+installs every span and counter hook, checks that a few traced calls are
+recorded, and puts the originals back.
+"""
+
+import sys
+from pathlib import Path
+
+import cyclodiff
+import cyclodiff.cli  # noqa: F401  (the hooks wrap cli.main)
+from cyclodiff.padic import PadicScalar
+from cyclodiff.tower import CyclotomicTower, TowerParams
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from layers import install_counts, install_spans  # noqa: E402
+from spans import Counter, Patcher, Tracer  # noqa: E402
+
+WATCHED = [
+    (cyclodiff.differentials.LatticeBasis, "from_generators"),
+    (cyclodiff.differentials, "elementary_divisor_valuations"),
+    (cyclodiff.differentials, "commensurability_check"),
+    (cyclodiff.constants, "galois_defect_cell"),
+    (cyclodiff.tower.CyclotomicTower, "norm_down"),
+    (cyclodiff.tower.CyclotomicTower, "trace_down"),
+    (cyclodiff.reportio, "canonical_dumps"),
+    (cyclodiff.padic.PadicScalar, "raw"),
+]
+
+
+def test_every_traced_name_exists_and_is_restored():
+    before = {key: key[0].__dict__[key[1]] for key in WATCHED}
+    tracer, counter, patcher = Tracer(), Counter(), Patcher()
+    try:
+        install_spans(cyclodiff, tracer, patcher)
+        install_counts(cyclodiff, counter, patcher)
+        for key in WATCHED:
+            assert key[0].__dict__[key[1]] is not before[key], key
+        tracer.active = counter.active = True
+        eye = [[PadicScalar.from_int(3, int(i == j), 10) for i in range(2)] for j in range(2)]
+        three = [[c * 3 for c in col] for col in eye]
+        tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=10))
+        # the names below are looked up on the modules, as callers do
+        assert cyclodiff.differentials.commensurability_check(3, 2, eye, three) == (1, 0)
+        tower.norm_down(tower.uniformizer(1), 0)
+        tower.trace_down(tower.uniformizer(1), 0)
+        cyclodiff.constants.galois_defect_cell(tower, 0, 1)
+    finally:
+        tracer.active = counter.active = False
+        patcher.restore()
+    for key in WATCHED:
+        assert key[0].__dict__[key[1]] is before[key], key
+    names = {span[2] for span in tracer.spans}
+    for name in (
+        "differentials.commensurability_check",
+        "differentials.from_generators",
+        "differentials.elementary_divisor_valuations",
+        "constants.galois_defect_cell",
+        "tower.norm_down",
+        "tower.trace_down",
+        "tower.galois_apply",
+        "tower.mul",
+    ):
+        assert name in names, name
+    assert counter.counts["padic.raw"] > 0

@@ -126,6 +126,49 @@ def test_element_input_errors(capsys, tmp_path):
     assert rc == 2
 
 
+def _write(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def rejected(capsys, *argv) -> str:
+    """Run the CLI on bad input: exit code 2, no report, the reason on stderr."""
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    return captured.err
+
+
+def test_element_file_without_level_exits_2(capsys, tmp_path):
+    element_file = _write(tmp_path / "elt.json", {"coeffs": []})
+    err = rejected(capsys, "w2", "--element-file", element_file, *FAST)
+    assert "missing key 'level'" in err
+
+
+def test_element_file_that_is_not_json_exits_2(capsys, tmp_path):
+    element_file = tmp_path / "elt.json"
+    element_file.write_text("not json")
+    err = rejected(capsys, "w2", "--element-file", str(element_file), *FAST)
+    assert err.startswith("tower: Expecting value")
+
+
+def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
+    rc, dec = run_cli(capsys, "decompose", "--random", "--seed", "5", *FAST)
+    assert rc == 0
+    series_file = _write(tmp_path / "series.json", dec["series"])
+    rc, rec = run_cli(capsys, "series", "--op", "reconstruct", "--series-file", series_file, *FAST)
+    assert rc == 0
+    for c in rec["element"]["coeffs"]:
+        c["p"] = 5
+    element_file = _write(tmp_path / "elt.json", rec["element"])
+    err = rejected(capsys, "w2", "--element-file", element_file, *FAST)
+    assert "5-adic scalar in a 3-adic tower" in err
+    dec["series"]["terms"][1]["coeffs"][0]["p"] = 5
+    series_file = _write(tmp_path / "bad-series.json", dec["series"])
+    err = rejected(capsys, "series", "--op", "invert", "--series-file", series_file, *FAST)
+    assert "5-adic scalar in a 3-adic tower" in err
+
+
 def test_determinism_across_invocations(capsys):
     rc1, rep1 = run_cli(capsys, "decompose", "--random", "--seed", "3", *FAST)
     rc2, rep2 = run_cli(capsys, "decompose", "--random", "--seed", "3", *FAST)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclodiff.differentials import echelon
 from cyclodiff.errors import InsufficientPrecision
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.constants import (
@@ -9,7 +10,6 @@ from cyclodiff.constants import (
     different_drift,
     estimate_constants,
     galois_defect_cell,
-    int_smith_valuations,
     kernel_shift,
     norm_cells,
     norm_congruence_cell,
@@ -111,16 +111,27 @@ def test_perp_basis_indices(t3, t2):
 def test_one_minus_galois_matrix_frozen(t3):
     indices, cols = one_minus_galois_matrix(t3, 0, 1)
     assert indices == [1, 2, 4, 5]
-    divs = int_smith_valuations(3, 4, cols, 20, "test")
-    assert sorted(divs) == [0, 0, 1, 1]  # determinant valuation 2
+    _, pivots = echelon(3, cols, 20)
+    assert sorted(v for _, v in pivots) == [0, 0, 1, 1]  # determinant valuation 2
     assert galois_defect_cell(t3, 0, 1) == 1
 
 
-def test_int_smith_valuations_examples():
-    assert int_smith_valuations(3, 2, [[3, 1], [0, 3]], 10, "t") == [0, 2]
-    assert sorted(int_smith_valuations(3, 2, [[9, 0], [0, 3]], 10, "t")) == [1, 2]
+def test_echelon_smith_examples():
+    def divisors(cols, digits):
+        return [v for _, v in echelon(3, cols, digits)[1]]
+
+    # pivots come out scaled to exactly p^val, their rows cleared elsewhere
+    assert echelon(3, [[3, 1], [0, 3]], 10) == ([[3, 1], [9, 0]], [(1, 0), (0, 2)])
+    assert divisors([[9, 0], [0, 3]], 10) == [1, 2]
+    assert echelon(3, [[3 ** 12]], 4) == ([], [])  # vanishes mod p^4: rank shortfall
+
+
+def test_galois_defect_cell_rejects_a_rank_shortfall(t3, monkeypatch):
+    monkeypatch.setattr(
+        "cyclodiff.constants.one_minus_galois_matrix", lambda *args: ([1], [[3 ** 30]])
+    )
     with pytest.raises(InsufficientPrecision):
-        int_smith_valuations(3, 1, [[3 ** 12]], 4, "t")
+        galois_defect_cell(t3, 0, 1)
 
 
 def test_kernel_shift_zero(t3, t2):

@@ -1,0 +1,54 @@
+"""Golden reports: the behaviour contract, byte for byte.
+
+Each file under tests/golden/ holds the canonical report of one `tower`
+invocation.  A change that moves any byte of these reports fails here; the
+files are evidence and must not be regenerated to make a change pass.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cyclodiff.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+P3_SMALL = ["--p", "3", "--levels", "3", "--prec", "24"]
+
+CASES = {
+    # the p=2 desk configuration, as pinned by the benchmark
+    "verify_p2_l3.json": ["verify", "all", "--p", "2", "--levels", "3"],
+    # every suite at p=3, including fouvar and the lattice suites
+    "verify_p3_l3_prec24.json": [
+        "verify", "all", *P3_SMALL, "--constants-samples", "20", "--samples", "4"
+    ],
+    "constants_p3_l3_prec24.json": ["constants", *P3_SMALL, "--samples", "20"],
+    "decompose_p3_l3_prec24.json": ["decompose", "--random", *P3_SMALL],
+}
+
+P2_DESK_PIN = "9e90a093747060ed3662d22890e01295d78bf858e200f94370ca18b049e84df6"
+
+
+def report_bytes(capsys, argv) -> bytes:
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    assert report_bytes(capsys, CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_series_invert_matches_golden(capsys, tmp_path):
+    decomposed = json.loads((GOLDEN / "decompose_p3_l3_prec24.json").read_text())
+    series_file = tmp_path / "series.json"
+    series_file.write_text(json.dumps(decomposed["series"]))
+    argv = ["series", "--op", "invert", "--series-file", str(series_file), *P3_SMALL]
+    expected = (GOLDEN / "series_invert_p3_l3_prec24.json").read_bytes()
+    assert report_bytes(capsys, argv) == expected
+
+
+def test_p2_golden_is_the_benchmark_pin():
+    digest = hashlib.sha256((GOLDEN / "verify_p2_l3.json").read_bytes()).hexdigest()
+    assert digest == P2_DESK_PIN
