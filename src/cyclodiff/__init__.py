@@ -34,9 +34,9 @@ from .differentials import (
 )
 from .completion import (
     PerpSeries,
-    component_valuations,
     flatness_test,
     layered_sum_membership,
+    perp_margins,
     perp_series_decompose,
     perp_series_from_json,
     series_invert,
@@ -73,7 +73,6 @@ __all__ = [
     "canonical_dumps",
     "cell_rng",
     "commensurability_check",
-    "component_valuations",
     "constants_to_report",
     "different",
     "differential",
@@ -91,6 +90,7 @@ __all__ = [
     "level_transition_factor",
     "mixed_coords",
     "modulus_valuation",
+    "perp_margins",
     "perp_series_decompose",
     "perp_series_from_json",
     "random_kernel_element",

@@ -28,7 +28,7 @@ from .completion import (
 )
 from .constants import cell_rng, estimate_constants
 from .errors import PadicError
-from .harness import SUITE_NAMES, run_all, run_suite
+from .harness import CONSTANTS_SAMPLES, SUITE_NAMES, run_all, run_suite
 from .reportio import constants_to_report, emit_report, envelope
 from .tower import CyclotomicTower, TowerParams
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--constants-samples",
         type=int,
-        default=200,
+        default=CONSTANTS_SAMPLES,
         help="random units per cell for the shared constants pass",
     )
 
@@ -94,6 +94,8 @@ def make_tower(args) -> CyclotomicTower:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise PadicError("config file must hold a JSON object")
         unknown = set(raw) - set(CONFIG_KEYS)
         if unknown:
             raise PadicError(f"unknown config keys: {sorted(unknown)}")
@@ -107,7 +109,7 @@ def make_tower(args) -> CyclotomicTower:
     if args.prec is not None:
         conf["prec"] = args.prec
     p = conf.get("p", 3)
-    s = conf.get("s", 1 if p % 2 else 2)
+    s = conf.get("s", 2 if p == 2 else 1)
     params = TowerParams(
         p=p, s=s, max_level=conf.get("max_level", 4), prec=conf.get("prec", 60)
     )

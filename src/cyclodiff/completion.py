@@ -4,9 +4,13 @@ Every x in K_N splits exactly as a sum of its perp components: the n-th
 component R_n_perp(x) keeps the zeta-coordinate slots whose index has p-adic
 valuation exactly N - n (the trace-zero part new at level n), and the n = 0
 component is the normalized trace to the bottom field.  The splitting is a
-finite, exact analogue of the series expansions used for the completed tower:
+finite, exact analogue of the series expansions used for the completed tower.
 
-* `w2_valuation` is the gauge floor(min_n (val(R_n_perp x) - n));
+One gauge, `perp_margins`, reads val(R_n_perp x) - n off the components,
+and everything else is a minimum or a threshold on it:
+
+* `PerpSeries.decay_margin` is min_n (val(R_n_perp x) - n);
+* `w2_valuation` is its floor;
 * `layered_sum_membership` decides x in sum_n p^(n-c) O_{K_n} componentwise,
   which is exact because R_n_perp maps each O_{K_m} into integers and kills
   the levels below n;
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .errors import DomainError, ValuationOfZero
 from .padic import check_json
@@ -38,16 +42,8 @@ class PerpSeries:
 
     def decay_margin(self) -> Optional[Fraction]:
         """min_n (val(components[n]) - n); None for the zero series."""
-        tower = self._tower()
-        best: Optional[Fraction] = None
-        for n, comp in enumerate(self.components):
-            try:
-                v = tower.valuation(comp) - n
-            except ValuationOfZero:
-                continue
-            if best is None or v < best:
-                best = v
-        return best
+        margins = perp_margins(self._tower(), self.components)
+        return min((m for m in margins if m is not None), default=None)
 
     def certify_perpendicular(self) -> bool:
         """Each nonzero term n >= 1 must vanish under the trace to the level
@@ -108,34 +104,25 @@ def series_invert(tower: CyclotomicTower, series: PerpSeries) -> PerpSeries:
     return perp_series_decompose(tower, inv)
 
 
-def component_valuations(
-    tower: CyclotomicTower, x: TowerElement
-) -> List[Optional[Fraction]]:
-    """val(R_n_perp x) for n = 0..level; None where the component vanishes
+def perp_margins(tower: CyclotomicTower, components) -> List[Optional[Fraction]]:
+    """val(components[n]) - n for each n; None where the component vanishes
     to working precision."""
-    vals: List[Optional[Fraction]] = []
-    for n in range(x.level + 1):
-        comp = tower.perp_project(x, n)
+    margins: List[Optional[Fraction]] = []
+    for n, comp in enumerate(components):
         try:
-            vals.append(tower.valuation(comp))
+            margins.append(tower.valuation(comp) - n)
         except ValuationOfZero:
-            vals.append(None)
-    return vals
+            margins.append(None)
+    return margins
 
 
 def w2_valuation(tower: CyclotomicTower, x: TowerElement) -> int:
     """floor(min_n (val(R_n_perp x) - n)); raises ValuationOfZero when every
     component vanishes to precision."""
-    best: Optional[Fraction] = None
-    for n, v in enumerate(component_valuations(tower, x)):
-        if v is None:
-            continue
-        shifted = v - n
-        if best is None or shifted < best:
-            best = shifted
-    if best is None:
+    margin = perp_series_decompose(tower, x).decay_margin()
+    if margin is None:
         raise ValuationOfZero("all perp components vanish to working precision")
-    return math.floor(best)
+    return math.floor(margin)
 
 
 @dataclass(frozen=True)
@@ -162,33 +149,16 @@ def layered_sum_membership(
     """
     if slack < 0:
         raise DomainError("slack must be >= 0")
-    margins: List[Optional[Fraction]] = []
-    terms = []
-    failing = None
-    strict_ok = True
-    worst: Optional[Fraction] = None
-    for n in range(x.level + 1):
-        comp = tower.perp_project(x, n)
-        terms.append(tower.scale_p(comp, -n))
-        try:
-            v = tower.valuation(comp)
-        except ValuationOfZero:
-            margins.append(None)
-            continue
-        margin = v - n
-        margins.append(margin)
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < 0:
-            strict_ok = False
-        if failing is None and margin < -slack:
-            failing = n
-    if worst is None or worst >= 0:
-        needed = 0
-    else:
-        needed = math.ceil(-worst)
+    comps = perp_series_decompose(tower, x).components
+    margins = perp_margins(tower, comps)
+    finite = [m for m in margins if m is not None]
+    needed = max(0, math.ceil(-min(finite))) if finite else 0
+    failing = next(
+        (n for n, m in enumerate(margins) if m is not None and m < -slack), None
+    )
+    terms = tuple(tower.scale_p(comp, -n) for n, comp in enumerate(comps))
     return MembershipVerdict(
-        strict_ok, failing is None, slack, needed, failing, tuple(margins), tuple(terms)
+        needed == 0, failing is None, slack, needed, failing, tuple(margins), terms
     )
 
 

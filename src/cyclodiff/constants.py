@@ -24,12 +24,13 @@ adding cells never disturbs existing ones.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .errors import InsufficientPrecision, ValuationOfZero
+from .errors import InsufficientPrecision
 from .padic import vp
 from .tower import CyclotomicTower
 from .differentials import different, differential, echelon, level_transition_factor
@@ -46,10 +47,6 @@ def norm_cells(tower: CyclotomicTower) -> List[Tuple[int, int]]:
         for k in range(1, tower.max_level - n + 1):
             out.append((n, k))
     return out
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,7 @@ def kernel_shift(tower: CyclotomicTower) -> int:
         expected = Fraction(1, e0) + fac
         if direct != expected:
             raise InsufficientPrecision("chain-rule shortcut failed its spot check")
-    return max(0, _ceil_frac(-worst))
+    return max(0, math.ceil(-worst))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ class ConstantsReport:
     n_1: int
 
     def nopdiv_bound(self) -> int:
-        return self.n_0 + self.n_1 + _ceil_frac(self.c2_star)
+        return self.n_0 + self.n_1 + math.ceil(self.c2_star)
 
 
 def norm_witness_value(tower: CyclotomicTower) -> Fraction:
@@ -259,7 +256,7 @@ def estimate_constants(
     c3_star = max(v for _, v in c3_cells)
 
     n_0 = kernel_shift(tower)
-    n_1 = _ceil_frac(a - b + m_c + 2)
+    n_1 = math.ceil(a - b + m_c + 2)
 
     return ConstantsReport(
         p=tower.p,

@@ -23,6 +23,7 @@ in `constants` call it on their integer matrices directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -37,10 +38,6 @@ BASES = ("K0", "Qp")
 def _check_base(base: str):
     if base not in BASES:
         raise DomainError(f"base must be one of {BASES}, got {base!r}")
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -((-num) // den)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ def base_change_compare(tower: CyclotomicTower, x: TowerElement) -> BaseChangeRe
     b = differential(tower, x, base="K0")
     pushed = OmegaClass(b.level, "K0", a.rep, b.modulus_val)
     r_val = different(tower, 0, "Qp").valuation
-    r = _ceil_div(r_val.numerator, r_val.denominator)
+    r = math.ceil(r_val)
     return BaseChangeReport(a, b, pushed.same_class(b), r)
 
 
@@ -377,13 +374,13 @@ def kernel_lattice(tower: CyclotomicTower, level: int, base: str = "K0") -> Kern
         for i in range(1, tower.degree(level)):
             # val(c_i) >= level - val_p(i) - (i-1)/e, in rho_0 steps of 1/e0
             bound = Fraction(level - vp(i, tower.p)) - Fraction(i - 1, e)
-            exps.append(max(0, _ceil_div((bound * e0).numerator, (bound * e0).denominator)))
+            exps.append(max(0, math.ceil(bound * e0)))
     else:
         mod = modulus_valuation(tower, level, "Qp")
         exps = [0]
         for k in range(1, e):
             bound = mod - Fraction(vp(k, tower.p)) - Fraction(k - 1, e)
-            exps.append(max(0, _ceil_div(bound.numerator, bound.denominator)))
+            exps.append(max(0, math.ceil(bound)))
     return KernelLattice(level, base, tuple(exps))
 
 
@@ -416,7 +413,7 @@ def kernel_mixed_columns(tower: CyclotomicTower, ker: KernelLattice):
         for i in range(d):
             r = ker.exps[i]
             for j in range(d0):
-                a = max(0, _ceil_div(r - j, d0))
+                a = max(0, -((j - r) // d0))
                 col = [PadicScalar.bottom(tower.p, tower.prec) for _ in range(dim)]
                 col[i * d0 + j] = PadicScalar.raw(tower.p, a, 1, tower.prec + a)
                 cols.append(col)
@@ -447,7 +444,7 @@ def random_kernel_element(tower: CyclotomicTower, level: int, rng, base: str = "
         for i in range(tower.degree(level)):
             r = ker.exps[i]
             for j in range(d0):
-                a = max(0, _ceil_div(r - j, d0))
+                a = max(0, -((j - r) // d0))
                 c = rng.randrange(tower.p ** (tower.prec - a))
                 term = tower.embed(tower.rho_power(0, j), level) * (c * tower.p ** a)
                 acc = acc + tower.mul(term, tower.rho_power(level, i))
@@ -487,7 +484,7 @@ def divisibility_exponent(
             vc = tower.valuation(c)
             if Fraction(vp(k, tower.p)) + vc >= m:
                 continue
-            cand = vc.numerator // vc.denominator  # floor
+            cand = math.floor(vc)
             if best is None or cand < best:
                 best = cand
         return best

@@ -10,6 +10,7 @@ only occur when the tower is too shallow for the statement being tested.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional
 
@@ -214,7 +215,7 @@ def _run_rnbdd(tower, seed, constants, samples):
             vx = _val(tower, x)
             if vx is None:
                 continue
-            floor = Fraction(vx.numerator // vx.denominator)
+            floor = Fraction(math.floor(vx))
             masked = tower.normalized_trace(x, n)
             honest = tower.scale_p(
                 tower.embed(tower.trace_down(x, n), m), -(m - n)
@@ -505,7 +506,7 @@ def _run_base_change(tower, seed, constants, samples):
     if tower.max_level < 1:
         return [_skip("base-change", "kernel-rescaling", "needs max_level >= 1")]
     v0 = different(tower, 0, "Qp").valuation
-    r = -((-v0.numerator) // v0.denominator)
+    r = math.ceil(v0)
     for n in range(1, min(2, tower.max_level) + 1):
         cols_k0 = kernel_mixed_columns(tower, kernel_lattice(tower, n, "K0"))
         cols_qp = kernel_mixed_columns(tower, kernel_lattice(tower, n, "Qp"))

@@ -143,10 +143,6 @@ class PadicScalar:
     def is_bottom(self) -> bool:
         return self.val is None
 
-    @property
-    def is_unit(self) -> bool:
-        return self.val == 0
-
     def valuation(self) -> int:
         if self.val is None:
             raise ValuationOfZero(f"element is O({self.p}^{self.prec})")

@@ -4,7 +4,8 @@ Reports are plain dictionaries rendered with sorted keys and a fixed layout,
 so the same inputs always produce byte-identical files.  Exact rationals are
 serialized as "a/b" strings, never floats; no timestamps or environment data
 are embedded.  Every report carries the tower description, the library
-version, and the seed it was produced from.
+version, and the seed it was produced from; `validate_report` checks that
+shared layout with the standard library alone.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 from . import __version__
 from .constants import ConstantsReport
 from .errors import DomainError
+from .padic import check_json
 from .tower import CyclotomicTower
 
 
@@ -88,69 +90,43 @@ def emit_report(report: dict, out: Optional[str] = None) -> None:
         sys.stdout.write(text)
 
 
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["kind", "library_version", "tower"],
-    "properties": {
-        "kind": {
-            "enum": [
-                "tower",
-                "constants",
-                "suite",
-                "suite-collection",
-                "perp-series",
-                "w2",
-                "element",
-            ]
-        },
-        "library_version": {"type": "string"},
-        "tower": {
-            "type": "object",
-            "required": ["p", "s", "max_level", "prec"],
-            "properties": {
-                "p": {"type": "integer", "minimum": 2},
-                "s": {"type": "integer", "minimum": 1},
-                "max_level": {"type": "integer", "minimum": 1},
-                "prec": {"type": "integer", "minimum": 4},
-            },
-        },
-        "seed": {"type": ["integer", "null"]},
-        "passed": {"type": "boolean"},
-        "assertions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "passed", "anchor"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "anchor": {"type": "string"},
-                    "skipped": {"type": "boolean"},
-                    "witness": {"type": "object"},
-                },
-            },
-        },
-    },
-}
+REPORT_KINDS = (
+    "tower",
+    "constants",
+    "suite",
+    "suite-collection",
+    "perp-series",
+    "w2",
+    "element",
+)
+TOWER_MINIMA = {"p": 2, "s": 1, "max_level": 1, "prec": 4}
 
 
 def validate_report(report: dict) -> None:
-    """Check a report against the schema; uses jsonschema when available and
-    falls back to structural checks otherwise."""
-    data = jsonable(report)
-    try:
-        import jsonschema
-    except ImportError:
-        for field in ("kind", "library_version", "tower"):
-            if field not in data:
-                raise DomainError(f"report missing field {field!r}")
-        for field in ("p", "s", "max_level", "prec"):
-            if field not in data["tower"]:
-                raise DomainError(f"report tower missing field {field!r}")
-        for assertion in data.get("assertions", ()):
-            for field in ("name", "passed", "anchor"):
-                if field not in assertion:
-                    raise DomainError(f"assertion missing field {field!r}")
-        return
-    jsonschema.validate(data, REPORT_SCHEMA)
+    """Raise DomainError unless the report has the shared layout: a known
+    kind, a string library version, a tower description of ints at their
+    minima, an int or null seed, a bool verdict, and assertions carrying a
+    string name and anchor, a bool verdict, an optional bool skip flag and
+    an optional witness object."""
+    check_json(report, "report", kind=str, library_version=str, tower=dict)
+    if report["kind"] not in REPORT_KINDS:
+        raise DomainError(f"report kind {report['kind']!r} is not one of {REPORT_KINDS}")
+    tower = report["tower"]
+    check_json(tower, "report tower", **dict.fromkeys(TOWER_MINIMA, int))
+    for key, least in TOWER_MINIMA.items():
+        if tower[key] < least:
+            raise DomainError(f"report tower {key} = {tower[key]} is below {least}")
+    if report.get("seed") is not None:
+        check_json(report, "report", seed=int)
+    if not isinstance(report.get("passed", False), bool):
+        raise DomainError("report key 'passed' must be a JSON boolean")
+    assertions = report.get("assertions", [])
+    if not isinstance(assertions, (list, tuple)):
+        raise DomainError("report key 'assertions' must be a JSON array")
+    for item in assertions:
+        check_json(item, "report assertion", name=str, anchor=str)
+        for flag in (item.get("passed"), item.get("skipped", False)):
+            if not isinstance(flag, bool):
+                raise DomainError("report assertion flags must be JSON booleans")
+        if not isinstance(item.get("witness", {}), dict):
+            raise DomainError("report assertion witness must be a JSON object")

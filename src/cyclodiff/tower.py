@@ -19,9 +19,13 @@ val is normalized so val(p) = 1, hence val(rho_n) = 1/phi.
 Valuations are exact, not estimated: the transform from zeta-coordinates to
 the rho-power basis over Q_p is unipotent-triangular (a Pascal matrix), and
 the rho-power basis splits valuations because k/phi are pairwise distinct
-mod 1 for 0 <= k < phi.  Multiplication packs coordinates into one big
-integer product (Kronecker substitution), which keeps level-4 products at
-p = 3 comfortably sub-millisecond.
+mod 1 for 0 <= k < phi.  One generator, `_rho_digits`, runs that transform
+on cached binomial rows mod p^N: `rho_power_coords` takes every coordinate,
+`valuation` stops at the first index past its best score.  The way back,
+sum_i c_i rho^i (`from_rho_basis`, the minimal polynomial at rho), is one
+Horner loop.  Multiplication packs coordinates into one big integer product
+(Kronecker substitution), which keeps level-4 products at p = 3 comfortably
+sub-millisecond.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class TowerParams:
     prec: int = 60
 
     def __post_init__(self):
+        for name in ("p", "s", "max_level", "prec"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if not _is_prime(self.p):
             raise DomainError(f"p = {self.p} is not prime")
         want_s = 2 if self.p == 2 else 1
@@ -316,11 +324,7 @@ class CyclotomicTower:
     def uniformizer(self, level: int, prec: Optional[int] = None) -> TowerElement:
         """rho_level: zeta - 1 for odd p, 1 - zeta for p = 2 (the sign that
         makes the norm chain exact)."""
-        self._check_level(level)
-        prec = self.prec if prec is None else prec
-        if self.p == 2:
-            return self.from_int_coeffs(level, [1, -1], prec)
-        return self.from_int_coeffs(level, [-1, 1], prec)
+        return self.rho_power(level, 1, prec)
 
     def rho_power(self, level: int, k: int, prec: Optional[int] = None) -> TowerElement:
         """rho_level^k for 0 <= k < phi, straight from the binomial row (no
@@ -597,30 +601,37 @@ class CyclotomicTower:
 
     # -- exact valuation ------------------------------------------------------------
 
-    def rho_power_coords(self, x: TowerElement):
-        """Q_p coordinates of x in the basis 1, rho, ..., rho^(phi-1).
+    def _rho_digits(self, x: TowerElement, shift: int, digits: int):
+        """Yield (k, c_k mod p^digits) for k = 0, 1, ..., phi - 1, where
+        x = p^shift sum_k c_k rho^k over Q_p.
 
         zeta = 1 + rho (odd p) or 1 - rho (p = 2), so this is the Pascal
-        transform c_k = (+-1)^k sum_j C(j,k) a_j of the zeta-coordinates.
+        transform c_k = (+-1)^k sum_j C(j,k) a_j of the zeta-coordinates, on
+        cached binomial rows mod p^digits.  Callers that need only a prefix
+        break out of the loop.
         """
         phi = self.phi(x.level)
-        sx, dx = pack_profile(x.coeffs)
-        if dx <= 0 or x.is_all_bottom:
-            return [PadicScalar.bottom(self.p, sx + max(dx, 0)) for _ in range(phi)]
-        mod = self.p ** dx
-        reps = [c.rep_mod(dx, sx) for c in x.coeffs]
-        rows = [self._binomial_row(j) for j in range(phi)]
-        out = []
+        mod = self.p ** digits
+        reps = [c.rep_mod(digits, shift) for c in x.coeffs]
+        rows = self._binomial_rows_mod(phi, mod)
+        flip = self.p == 2
         for k in range(phi):
-            t = 0
+            total = 0
             for j in range(k, phi):
                 r = reps[j]
                 if r:
-                    t += rows[j][k] * r
-            if self.p == 2 and k % 2 == 1:
-                t = -t
-            out.append(PadicScalar.raw(self.p, sx, t % mod, sx + dx))
-        return out
+                    total += rows[j][k] * r
+            if flip and k & 1:
+                total = -total
+            yield k, total % mod
+
+    def rho_power_coords(self, x: TowerElement):
+        """Q_p coordinates of x in the basis 1, rho, ..., rho^(phi-1)."""
+        sx, dx = pack_profile(x.coeffs)
+        if dx <= 0 or x.is_all_bottom:
+            return [PadicScalar.bottom(self.p, sx + max(dx, 0))] * self.phi(x.level)
+        digits = self._rho_digits(x, sx, dx)
+        return [PadicScalar.raw(self.p, sx, c, sx + dx) for _, c in digits]
 
     def valuation(self, x: TowerElement) -> Fraction:
         """Exact valuation with val(p) = 1; raises ValuationOfZero when the
@@ -629,32 +640,23 @@ class CyclotomicTower:
         Works through the rho-power coordinates c_k: because the fractional
         parts k/e are pairwise distinct, val(x) = min_k (val_p(c_k) + k/e)
         with a unique minimizer.  The transform runs in widening digit
-        windows (8, 16, ...) so typical elements never touch full precision.
+        windows (8, 16, ...) so typical elements never touch full precision,
+        and stops at the first k past the best score so far.
         """
         e = self.ramification(x.level)
-        phi = self.phi(x.level)
         sx, dx = pack_profile(x.coeffs)
         if dx <= 0 or x.is_all_bottom:
             raise ValuationOfZero("element is zero at working precision")
         windows = sorted({min(8, dx), min(16, dx), min(32, dx), dx})
         for win in windows:
-            mod = self.p ** win
-            reps = [c.rep_mod(win, sx) for c in x.coeffs]
-            rows = self._binomial_rows_mod(phi, mod)
             best = None  # val_p(c_k) * e + k, an integer
-            for k in range(phi):
-                if best is not None and k > best:
-                    break
-                total = 0
-                for j in range(k, phi):
-                    r = reps[j]
-                    if r:
-                        total += rows[j][k] * r
-                total %= mod
-                if total:
-                    cand = vp(total, self.p) * e + k
+            for k, c in self._rho_digits(x, sx, win):
+                if c:
+                    cand = vp(c, self.p) * e + k
                     if best is None or cand < best:
                         best = cand
+                if best is not None and best <= k:
+                    break  # every later k scores more than best
             if best is not None and best < win * e:
                 # any coordinate hidden below p^win would score >= win*e
                 return Fraction(sx * e + best, e)
@@ -715,11 +717,7 @@ class CyclotomicTower:
     def minpoly_eval_at_rho(self, level: int) -> TowerElement:
         """g(rho_level) with g the certified minimal polynomial; for tests.
         Should be indistinguishable from zero."""
-        g = self.minimal_polynomial(level)
-        acc = self.embed(g[-1], level)
-        for i in range(len(g) - 2, -1, -1):
-            acc = self.add(self.mul_rho(acc), self.embed(g[i], level))
-        return acc
+        return self._horner_rho(level, self.minimal_polynomial(level))
 
     def minpoly_derivative_at_rho(self, level: int, prec: Optional[int] = None) -> TowerElement:
         """g'(rho_level) in closed form: +-p^n zeta^(p^n - 1)."""
@@ -768,9 +766,14 @@ class CyclotomicTower:
         d = self.degree(level)
         if len(expansion.coeffs) != d:
             raise DomainError(f"need {d} coefficients, got {len(expansion.coeffs)}")
-        acc = self.embed(expansion.coeffs[d - 1], level)
-        for i in range(d - 2, -1, -1):
-            acc = self.add(self.mul_rho(acc), self.embed(expansion.coeffs[i], level))
+        return self._horner_rho(level, expansion.coeffs)
+
+    def _horner_rho(self, level: int, coeffs) -> TowerElement:
+        """sum_i coeffs[i] * rho_level^i by Horner's rule, each coefficient
+        embedded from its own level; coeffs is constant term first."""
+        acc = self.embed(coeffs[-1], level)
+        for c in reversed(coeffs[:-1]):
+            acc = self.add(self.mul_rho(acc), self.embed(c, level))
         return acc
 
     # -- inversion -----------------------------------------------------------------------

@@ -119,6 +119,20 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"p": "3"}, "p must be an int, got '3'"),
+        ({"max_level": 2.5}, "max_level must be an int, got 2.5"),
+        ([1], "config file must hold a JSON object"),
+    ],
+)
+def test_bad_config_file_exits_2(capsys, tmp_path, config, message):
+    conf = _write(tmp_path / "tower.json", config)
+    err = rejected(capsys, "build", "--config", conf)
+    assert err == f"tower: {message}\n"
+
+
 def test_element_input_errors(capsys, tmp_path):
     rc, _ = run_cli(capsys, "w2", *FAST)
     assert rc == 2

@@ -9,9 +9,9 @@ from cyclodiff.completion import (
     FlatnessReport,
     MembershipVerdict,
     PerpSeries,
-    component_valuations,
     flatness_test,
     layered_sum_membership,
+    perp_margins,
     perp_series_decompose,
     perp_series_from_json,
     series_invert,
@@ -70,11 +70,8 @@ def test_w2_of_zero_raises(t3):
 def test_component_valuations_shape(t3):
     # rho_2 = zeta_27 - 1 splits as -1 (level 0) + zeta_27 (level 2),
     # nothing new at level 1
-    vals = component_valuations(t3, t3.uniformizer(2))
-    assert len(vals) == 3
-    assert vals[0] == 0
-    assert vals[1] is None
-    assert vals[2] == 0
+    series = perp_series_decompose(t3, t3.uniformizer(2))
+    assert perp_margins(t3, series.components) == [0, None, -2]
 
 
 def test_layered_sum_member_positive(t3, t2):

@@ -56,6 +56,24 @@ def test_bad_assertion_rejected(tower):
         validate_report(rep)
 
 
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("tower", "p", True),
+        ("report", "kind", "sweep"),
+        ("report", "seed", "3"),
+        ("assertion", "passed", 1),
+    ],
+)
+def test_validator_rejects_wrong_types_and_kinds(tower, where, key, value):
+    assertion = {"name": "x", "passed": True, "anchor": "t"}
+    rep = envelope(tower, "suite", 3, {"assertions": [assertion]})
+    target = {"tower": rep["tower"], "report": rep, "assertion": assertion}[where]
+    target[key] = value
+    with pytest.raises(DomainError):
+        validate_report(rep)
+
+
 def test_constants_report_shape(tower):
     cons = estimate_constants(tower, seed=0, samples=5)
     rep = constants_to_report(tower, cons)

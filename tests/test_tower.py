@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclodiff.errors import DivisionByZeroPadic, DomainError, ValuationOfZero
 from cyclodiff.padic import PadicScalar
-from cyclodiff.tower import CyclotomicTower, TowerParams
+from cyclodiff.tower import CyclotomicTower, TowerElement, TowerParams
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,10 @@ def test_params_validation():
         TowerParams(p=3, s=1, max_level=0)
     with pytest.raises(DomainError):
         TowerParams(p=3, s=1, max_level=9)  # degree cap
+    for bad in ({"p": "3"}, {"p": True}, {"max_level": 2.5}, {"prec": None}):
+        fields = {"p": 3, "s": 1, "max_level": 2, "prec": 12, **bad}
+        with pytest.raises(DomainError):
+            TowerParams(**fields)
 
 
 def test_shape_numbers(tw, tw2):
@@ -242,6 +247,45 @@ def test_valuation_matches_rho_expansion_route(tw):
                 continue
             vals.append(tw.valuation(c) + Fraction(i, tw.phi(level)))
         assert tw.valuation(x) == min(vals)
+
+
+SMALL = {
+    p: CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=8))
+    for p, levels in ((2, 2), (3, 2), (5, 1))
+}
+
+
+@st.composite
+def small_elements(draw):
+    """An element of a small p = 2, 3 or 5 tower whose coordinates carry
+    their own precision and valuation, so that some are bottom and some
+    elements are zero at their precision."""
+    tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    p = tower.p
+    level = draw(st.integers(0, tower.max_level))
+    coeffs = []
+    for _ in range(tower.phi(level)):
+        prec = draw(st.integers(4, 8))
+        val = draw(st.integers(0, prec))
+        unit = draw(st.integers(1, p ** prec))
+        coeffs.append(PadicScalar.from_int(p, p ** val * unit, prec))
+    return tower, TowerElement(tower, level, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_elements())
+def test_valuation_is_the_minimum_over_rho_power_coords(case):
+    # valuation() and rho_power_coords() run the one Pascal transform; the
+    # valuation must be min_k (val(c_k) + k/e), and both must see zero alike
+    tower, x = case
+    e = tower.ramification(x.level)
+    coords = tower.rho_power_coords(x)
+    scores = [c.val + Fraction(k, e) for k, c in enumerate(coords) if not c.is_bottom]
+    if not scores:
+        with pytest.raises(ValuationOfZero):
+            tower.valuation(x)
+        return
+    assert tower.valuation(x) == min(scores)
 
 
 def test_rho_power_coords_match_rho_powers(tw):
