@@ -107,7 +107,8 @@ def validate_report(report: dict) -> None:
     kind, a string library version, a tower description of ints at their
     minima, an int or null seed, a bool verdict, and assertions carrying a
     string name and anchor, a bool verdict, an optional bool skip flag and
-    an optional witness object."""
+    an optional witness object.  A suite collection must hold its suites as
+    an object of reports of kind "suite", each checked the same way."""
     check_json(report, "report", kind=str, library_version=str, tower=dict)
     if report["kind"] not in REPORT_KINDS:
         raise DomainError(f"report kind {report['kind']!r} is not one of {REPORT_KINDS}")
@@ -130,3 +131,9 @@ def validate_report(report: dict) -> None:
                 raise DomainError("report assertion flags must be JSON booleans")
         if not isinstance(item.get("witness", {}), dict):
             raise DomainError("report assertion witness must be a JSON object")
+    if report["kind"] == "suite-collection":
+        check_json(report, "report", suites=dict)
+        for name, suite in report["suites"].items():
+            if not isinstance(suite, dict) or suite.get("kind") != "suite":
+                raise DomainError(f"suite {name!r} must be a report of kind 'suite'")
+            validate_report(suite)

@@ -26,6 +26,14 @@ sum_i c_i rho^i (`from_rho_basis`, the minimal polynomial at rho), is one
 Horner loop.  Multiplication packs coordinates into one big integer product
 (Kronecker substitution), which keeps level-4 products at p = 3 comfortably
 sub-millisecond.
+
+Inversion strips x = p^a rho^r u down to the unit u and runs Newton's method
+on it with precision doubling: steps mod p until the residual 1 - uy is zero,
+then one step at each of 2, 4, 8, ... digits and one at the cap.  Each step
+first checks that the residual vanishes to the digits already reached, and
+raises InsufficientPrecision if it does not, so an unconverged inverse is
+never returned.  At p = 5, level 3 (phi = 500), prec 60, one inversion runs
+31 products, of which one is at 60 digits.
 """
 
 from __future__ import annotations
@@ -35,7 +43,12 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
-from .errors import DivisionByZeroPadic, DomainError, ValuationOfZero
+from .errors import (
+    DivisionByZeroPadic,
+    DomainError,
+    InsufficientPrecision,
+    ValuationOfZero,
+)
 from .padic import PadicScalar, check_json, pack_profile, vp
 
 
@@ -784,8 +797,10 @@ class CyclotomicTower:
 
     def invert(self, x: TowerElement) -> TowerElement:
         """x^-1 via the exact factorization x = p^a rho^r u: strip the p and
-        rho parts (rho^(e-r) brings the valuation to an integer), then Newton
-        iteration for the unit u."""
+        rho parts (rho^(e-r) brings the valuation to an integer), then invert
+        the unit u by Newton's method with precision doubling
+        (`_invert_unit`), which raises InsufficientPrecision rather than
+        return an unconverged inverse."""
         try:
             t = self.valuation(x)
         except ValuationOfZero:
@@ -800,13 +815,34 @@ class CyclotomicTower:
         _, dx = pack_profile(x.coeffs)
         shift = self.rho_power(x.level, e - r, dx + 2)
         z = self.scale_p(self.mul(x, shift), -(a + 1))
+        if z.cap < 1:
+            # val(x) lies within one digit of the cap: x rho^(e-r) is zero mod
+            # the cap, so no digit of the unit part survives the shift
+            raise InsufficientPrecision(
+                f"val {t} is too close to cap {x.cap} to strip rho^{r}"
+            )
         z_inv = self._invert_unit(z)
         return self.scale_p(self.mul(z_inv, shift), -(a + 1))
 
     def _invert_unit(self, z: TowerElement) -> TowerElement:
-        """Newton iteration y <- y(2 - zy) from the residue inverse; z must be
-        a unit (valuation 0)."""
-        p = self.p
+        """The inverse of a unit z mod p^cap (cap = z.cap), at uniform prec cap.
+
+        Newton's step y <- y + y(1 - zy) squares the residual 1 - zy, so the
+        work runs at the precision the step can reach:
+
+        * mod p, from the residue inverse, until the residual is zero; it
+          starts in rho O_K and p = rho^e times a unit, so this takes at
+          most e.bit_length() steps;
+        * then one step at each of 2, 4, 8, ... digits, and one at cap, on z
+          truncated to that many digits.
+
+        Before a step from d digits the residual must vanish mod p^d;
+        otherwise, or if the mod-p phase does not reach zero, this raises
+        InsufficientPrecision.  The check also proves the last step:
+        z y' = 1 - (1 - zy)^2 is 1 mod p^(2d), so no product at cap follows
+        it.
+        """
+        p, level = self.p, z.level
         res = 0
         for c in z.coeffs:
             if not c.is_bottom:
@@ -817,15 +853,33 @@ class CyclotomicTower:
         if res == 0:
             raise DomainError("unit inversion got an element of positive valuation")
         cap = z.cap
-        y = self.constant(z.level, pow(res, -1, p), cap)
-        e = self.ramification(z.level)
-        max_iter = max(2, (cap * e).bit_length() + 2)
-        one = self.one(z.level, cap)
-        for _ in range(max_iter):
-            err = self.add(one, -self.mul(z, y))
+
+        def z_to(digits):
+            if digits == cap:
+                return z
+            return TowerElement(self, level, [c.truncate(digits) for c in z.coeffs])
+
+        y = self.constant(level, pow(res, -1, p), 1)
+        z_d = z_to(1)
+        one = self.one(level, 1)
+        for _ in range(self.ramification(level).bit_length() + 1):
+            err = self.add(one, -self.mul(z_d, y))
             if err.is_all_bottom:
                 break
             y = self.add(y, self.mul(y, err))
+        else:
+            raise InsufficientPrecision("Newton inversion did not converge mod p")
+        d = 1
+        while d < cap:
+            new = min(2 * d, cap)
+            y = self.from_int_coeffs(level, [c.rep_mod(d) for c in y.coeffs], new)
+            err = self.add(self.one(level, new), -self.mul(z_to(new), y))
+            if pack_profile(err.coeffs)[0] < d:
+                raise InsufficientPrecision(
+                    f"Newton residual is not zero mod p^{d} on the way to p^{new}"
+                )
+            y = self.add(y, self.mul(y, err))
+            d = new
         return y
 
     # -- randomness ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ from cyclodiff.tower import CyclotomicTower, TowerParams
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from layers import install_counts, install_spans  # noqa: E402
-from spans import Counter, Patcher, Tracer  # noqa: E402
+from spans import Counter, Patcher, Tracer, descendants_per_call  # noqa: E402
 
 WATCHED = [
     (cyclodiff.differentials.LatticeBasis, "from_generators"),
@@ -26,6 +26,8 @@ WATCHED = [
     (cyclodiff.constants, "galois_defect_cell"),
     (cyclodiff.tower.CyclotomicTower, "norm_down"),
     (cyclodiff.tower.CyclotomicTower, "trace_down"),
+    (cyclodiff.tower.CyclotomicTower, "invert"),
+    (cyclodiff.completion, "series_invert"),
     (cyclodiff.reportio, "canonical_dumps"),
     (cyclodiff.padic.PadicScalar, "raw"),
 ]
@@ -48,6 +50,9 @@ def test_every_traced_name_exists_and_is_restored():
         tower.norm_down(tower.uniformizer(1), 0)
         tower.trace_down(tower.uniformizer(1), 0)
         cyclodiff.constants.galois_defect_cell(tower, 0, 1)
+        unit = tower.one(1) + tower.uniformizer(1)
+        series = cyclodiff.completion.perp_series_decompose(tower, unit)
+        cyclodiff.completion.series_invert(tower, series)
     finally:
         tracer.active = counter.active = False
         patcher.restore()
@@ -63,6 +68,10 @@ def test_every_traced_name_exists_and_is_restored():
         "tower.trace_down",
         "tower.galois_apply",
         "tower.mul",
+        "tower.invert",
+        "completion.series_invert",
     ):
         assert name in names, name
+    # tower.invert.muls_per_call counts the products nested in invert
+    assert descendants_per_call(tracer.spans, "tower.invert", "tower.mul") >= 2
     assert counter.counts["padic.raw"] > 0

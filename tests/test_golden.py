@@ -15,6 +15,8 @@ from cyclodiff.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 P3_SMALL = ["--p", "3", "--levels", "3", "--prec", "24"]
+P2_SMALL = ["--p", "2", "--levels", "3", "--prec", "24"]
+P5_SMALL = ["--p", "5", "--levels", "2", "--prec", "20"]
 
 CASES = {
     # the p=2 desk configuration, as pinned by the benchmark
@@ -25,6 +27,7 @@ CASES = {
     ],
     "constants_p3_l3_prec24.json": ["constants", *P3_SMALL, "--samples", "20"],
     "decompose_p3_l3_prec24.json": ["decompose", "--random", *P3_SMALL],
+    "decompose_p2_l3_prec24.json": ["decompose", "--random", *P2_SMALL],
 }
 
 P2_DESK_PIN = "9e90a093747060ed3662d22890e01295d78bf858e200f94370ca18b049e84df6"
@@ -40,13 +43,38 @@ def test_report_matches_golden(capsys, name):
     assert report_bytes(capsys, CASES[name]) == (GOLDEN / name).read_bytes()
 
 
-def test_series_invert_matches_golden(capsys, tmp_path):
-    decomposed = json.loads((GOLDEN / "decompose_p3_l3_prec24.json").read_text())
+def series_from_report(tmp_path, name) -> str:
+    decomposed = json.loads((GOLDEN / name).read_text())
     series_file = tmp_path / "series.json"
     series_file.write_text(json.dumps(decomposed["series"]))
-    argv = ["series", "--op", "invert", "--series-file", str(series_file), *P3_SMALL]
+    return str(series_file)
+
+
+def invert_bytes(capsys, series_file, flags) -> bytes:
+    argv = ["series", "--op", "invert", "--series-file", series_file, *flags]
+    return report_bytes(capsys, argv)
+
+
+def test_series_invert_matches_golden(capsys, tmp_path):
+    series_file = series_from_report(tmp_path, "decompose_p3_l3_prec24.json")
     expected = (GOLDEN / "series_invert_p3_l3_prec24.json").read_bytes()
-    assert report_bytes(capsys, argv) == expected
+    assert invert_bytes(capsys, series_file, P3_SMALL) == expected
+
+
+def test_series_invert_p2_matches_golden(capsys, tmp_path):
+    # the element has val 1/16: the rho-shift path of invert
+    series_file = series_from_report(tmp_path, "decompose_p2_l3_prec24.json")
+    expected = (GOLDEN / "series_invert_p2_l3_prec24.json").read_bytes()
+    assert invert_bytes(capsys, series_file, P2_SMALL) == expected
+
+
+def test_series_invert_p5_nonunit_matches_golden(capsys):
+    # p * rho^7 * u at level 2, val 107/100, where u is
+    # random_unit(2, cell_rng(0, "golden-nonunit", 2, 0)): the rho-shift path
+    # of invert with a p-power shift on top
+    series_file = str(GOLDEN / "series_nonunit_p5_l2_prec20.json")
+    expected = (GOLDEN / "series_invert_p5_l2_prec20.json").read_bytes()
+    assert invert_bytes(capsys, series_file, P5_SMALL) == expected
 
 
 def test_p2_golden_is_the_benchmark_pin():

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,61 @@ def test_validator_rejects_wrong_types_and_kinds(tower, where, key, value):
     target[key] = value
     with pytest.raises(DomainError):
         validate_report(rep)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_every_golden_report_validates(name):
+    report = json.loads((GOLDEN / name).read_text())
+    if "kind" in report:  # the one stored series input is not a report
+        validate_report(report)
+
+
+def _break_nested_flags(rep):
+    suite = next(iter(rep["suites"].values()))
+    suite["assertions"][0]["passed"] = "yes"
+    suite["tower"]["p"] = True
+
+
+def _break_nested_assertion(rep):
+    next(iter(rep["suites"].values()))["assertions"][0]["passed"] = "yes"
+
+
+def _break_nested_tower(rep):
+    next(iter(rep["suites"].values()))["tower"]["p"] = True
+
+
+def _break_nested_kind(rep):
+    next(iter(rep["suites"].values()))["kind"] = "suite-collection"
+
+
+def _suites_as_string(rep):
+    rep["suites"] = "x"
+
+
+def _no_suites(rep):
+    del rep["suites"]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _break_nested_flags,
+        _break_nested_assertion,
+        _break_nested_tower,
+        _break_nested_kind,
+        _suites_as_string,
+        _no_suites,
+    ],
+)
+def test_suite_collection_validates_its_suites(damage):
+    report = json.loads((GOLDEN / "verify_p2_l3.json").read_text())
+    validate_report(report)
+    damage(report)
+    with pytest.raises(DomainError):
+        validate_report(report)
 
 
 def test_constants_report_shape(tower):

@@ -6,9 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cyclodiff.errors import DivisionByZeroPadic, DomainError, ValuationOfZero
+from cyclodiff.errors import (
+    DivisionByZeroPadic,
+    DomainError,
+    InsufficientPrecision,
+    ValuationOfZero,
+)
 from cyclodiff.padic import PadicScalar
 from cyclodiff.tower import CyclotomicTower, TowerElement, TowerParams
 
@@ -256,20 +261,30 @@ SMALL = {
 
 
 @st.composite
-def small_elements(draw):
-    """An element of a small p = 2, 3 or 5 tower whose coordinates carry
-    their own precision and valuation, so that some are bottom and some
-    elements are zero at their precision."""
+def small_elements(draw, count=1):
+    """(tower, x1, ..., x_count): elements of one level of a small p = 2, 3
+    or 5 tower whose coordinates carry their own precision and valuation, so
+    that some are bottom and some elements are zero at their precision."""
     tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
     p = tower.p
     level = draw(st.integers(0, tower.max_level))
-    coeffs = []
-    for _ in range(tower.phi(level)):
-        prec = draw(st.integers(4, 8))
-        val = draw(st.integers(0, prec))
-        unit = draw(st.integers(1, p ** prec))
-        coeffs.append(PadicScalar.from_int(p, p ** val * unit, prec))
-    return tower, TowerElement(tower, level, coeffs)
+    elements = []
+    for _ in range(count):
+        coeffs = []
+        for _ in range(tower.phi(level)):
+            prec = draw(st.integers(4, 8))
+            val = draw(st.integers(0, prec))
+            unit = draw(st.integers(1, p ** prec))
+            coeffs.append(PadicScalar.from_int(p, p ** val * unit, prec))
+        elements.append(TowerElement(tower, level, coeffs))
+    return (tower, *elements)
+
+
+def valuation_or_none(tower, x):
+    try:
+        return tower.valuation(x)
+    except ValuationOfZero:
+        return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -406,6 +421,135 @@ def test_invert_roundtrips(tw, tw2):
 def test_invert_zero_raises(tw):
     with pytest.raises(DivisionByZeroPadic):
         tw.invert(tw.zero(2))
+
+
+def full_precision_newton(tower, z):
+    """The unit inverse by Newton steps y <- y(2 - zy), every one at z's cap,
+    from the residue inverse, until the residual is zero: the plain loop,
+    kept as the oracle for `_invert_unit`."""
+    p, level, cap = tower.p, z.level, z.cap
+    res = sum(c.rep_mod(1) for c in z.coeffs if not c.is_bottom) % p
+    y = tower.constant(level, pow(res, -1, p), cap)
+    one = tower.one(level, cap)
+    for _ in range(max(2, (cap * tower.ramification(level)).bit_length() + 2)):
+        err = tower.add(one, -tower.mul(z, y))
+        if err.is_all_bottom:
+            return y
+        y = tower.add(y, tower.mul(y, err))
+    raise AssertionError("the oracle did not converge")
+
+
+def oracle_tower(tower):
+    """A copy of tower whose invert runs `full_precision_newton`."""
+    oracle = CyclotomicTower(tower.params)
+    oracle._invert_unit = lambda z: full_precision_newton(oracle, z)
+    return oracle
+
+
+ORACLE = {p: oracle_tower(tower) for p, tower in SMALL.items()}
+
+
+def truncated(x, digits):
+    return TowerElement(x.tower, x.level, [c.truncate(digits) for c in x.coeffs])
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_elements())
+def test_invert_matches_the_full_precision_oracle(case):
+    tower, x = case
+    vx = valuation_or_none(tower, x)
+    assume(vx is not None)
+    if vx > x.cap - 1 and vx.denominator > 1:
+        # x = p^a rho^r u with a = cap - 1: the rho shift leaves no digit of u
+        with pytest.raises(InsufficientPrecision):
+            tower.invert(x)
+        return
+    xi = tower.invert(x)
+    oracle = ORACLE[tower.p]
+    want = oracle.invert(TowerElement(oracle, x.level, x.coeffs))
+    assert xi.to_json() == want.to_json()
+    assert tower.mul(x, xi) == 1
+    assert tower.valuation(xi) == -vx
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_elements())
+def test_invert_of_a_truncated_unit_is_the_truncated_inverse(case):
+    # a low-precision inverse is the high-precision one, truncated
+    tower, x = case
+    u = x if valuation_or_none(tower, x) == 0 else x + 1
+    ui = tower.invert(u)
+    assert len({c.prec for c in ui.coeffs}) == 1
+    for d in range(1, u.cap + 1):
+        assert tower.invert(truncated(u, d)).to_json() == truncated(ui, d).to_json()
+
+
+def test_invert_raises_on_a_wrong_newton_product():
+    # one wrong digit in a mid-precision product must not reach the result
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
+    u = tower.random_unit(2, random.Random(79))
+    honest = tower.mul
+    fired = []
+
+    def corrupt(x, y):
+        out = honest(x, y)
+        if not fired and 5 < out.cap < u.cap:
+            fired.append(out.cap)
+            bump = PadicScalar.from_int(tower.p, tower.p ** 5, out.cap)
+            out = TowerElement(tower, out.level, [out.coeffs[0] + bump, *out.coeffs[1:]])
+        return out
+
+    tower.mul = corrupt
+    with pytest.raises(InsufficientPrecision):
+        tower.invert(u)
+    assert fired
+
+
+def schoolbook(tower, x, y):
+    """x * y by all phi^2 coordinate products, each folded by _plan."""
+    plan = tower._plan(x.level)
+    acc = [None] * tower.phi(x.level)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            term = a * b
+            for slot, sign in plan[i + j]:
+                signed = term if sign > 0 else -term
+                acc[slot] = signed if acc[slot] is None else acc[slot] + signed
+    return TowerElement(tower, x.level, acc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_elements(count=2))
+def test_mul_matches_the_schoolbook_product(case):
+    tower, x, y = case
+    got, want = tower.mul(x, y), schoolbook(tower, x, y)
+    assert got == want
+    # the packed product never claims a digit the exact one does not know
+    assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_elements(count=2))
+def test_valuation_of_a_product_is_the_sum(case):
+    tower, x, y = case
+    vx, vy = valuation_or_none(tower, x), valuation_or_none(tower, y)
+    assume(vx is not None and vy is not None)
+    xy = tower.mul(x, y)
+    vxy = valuation_or_none(tower, xy)
+    if vxy is None:
+        # zero at its precision only where the true product is
+        assert vx + vy >= xy.cap
+    else:
+        assert vxy == vx + vy
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_elements(count=2), st.data())
+def test_norm_is_multiplicative(case, data):
+    tower, x, y = case
+    target = data.draw(st.integers(0, x.level))
+    lhs = tower.norm_down(tower.mul(x, y), target)
+    assert lhs == tower.mul(tower.norm_down(x, target), tower.norm_down(y, target))
 
 
 def test_scale_p(tw):
