@@ -28,7 +28,13 @@ from .completion import (
 )
 from .constants import cell_rng, estimate_constants
 from .errors import PadicError
-from .harness import CONSTANTS_SAMPLES, SUITE_NAMES, run_all, run_suite
+from .harness import (
+    CONSTANTS_SAMPLES,
+    SUITE_NAMES,
+    check_sample_count,
+    run_all,
+    run_suite,
+)
 from .reportio import constants_to_report, emit_report, envelope
 from .tower import CyclotomicTower, TowerParams
 
@@ -148,6 +154,7 @@ def main(argv=None) -> int:
             emit_report(constants_to_report(tower, report), args.out)
             return 0
         if args.command == "verify":
+            check_sample_count(args.samples)  # before the constants are spent
             constants = estimate_constants(
                 tower, seed=args.seed, samples=args.constants_samples
             )

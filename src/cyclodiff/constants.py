@@ -4,7 +4,11 @@ Every constant is computed from tower data, never assumed:
 
 * a, b bound the drift of the relative different, |val(d_n) - n - b| <= a/p^n;
 * c_norm is the norm-congruence floor min val(N(x)/x^deg - 1) over basis
-  elements and seeded random units, cell by cell (n, k);
+  elements and seeded random units, cell by cell (n, k).  Each element is
+  drawn at full precision and evaluated at 8 digits first; the digits
+  double only while N(x) - x^deg is all bottom.  The ladder is exact: a
+  difference that is not all bottom has the valuation of every lift of the
+  truncated x, since every tower op keeps a sound cap;
 * m_c is the smallest m with p^m c_norm >= 1/(p-1);
 * c_2 bounds the normalized-trace denominators from basis minima (the
   projectors are coordinate masks, so the honest minimum is 0);
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import InsufficientPrecision
+from .errors import DomainError, InsufficientPrecision
 from .padic import vp
 from .tower import CyclotomicTower
 from .differentials import different, differential, echelon, level_transition_factor
@@ -69,7 +73,16 @@ def norm_congruence_cell(
     tower: CyclotomicTower, n: int, k: int, seed: int, samples: int
 ) -> Fraction:
     """min val(N_{K_(n+k)/K_n}(x) / x^(p^k) - 1) over the rho-power basis of
-    the top field and `samples` seeded random units."""
+    the top field and `samples` seeded random units.
+
+    Each x is drawn at full precision and evaluated on a precision ladder:
+    x truncated to 8 digits, then 16, 32, ... and the cap, climbing only
+    while the difference N(x) - x^(p^k) is all bottom.  A difference that is
+    not all bottom has an exact valuation, shared by every lift of the
+    truncated x, the full-precision x included, because every tower op keeps
+    a sound cap.  An all-bottom difference whose cap cannot beat the floor
+    found so far ends the climb early.
+    """
     m = n + k
     deg = tower.p ** k
     rng = cell_rng(seed, "fonemb", n, k)
@@ -77,13 +90,20 @@ def norm_congruence_cell(
 
     def consider(x, val_x: Fraction):
         nonlocal best
-        nx = tower.embed(tower.norm_down(x, n), m)
-        diff = nx - tower.power(x, deg)
-        if diff.is_all_bottom:
-            return  # congruence exact to precision: no constraint
-        v = tower.valuation(diff) - deg * val_x
-        if best is None or v < best:
-            best = v
+        digits = min(8, x.cap)
+        while True:
+            xd = tower.truncate(x, digits)
+            diff = tower.embed(tower.norm_down(xd, n), m) - tower.power(xd, deg)
+            if not diff.is_all_bottom:
+                v = tower.valuation(diff) - deg * val_x
+                if best is None or v < best:
+                    best = v
+                return
+            if digits == x.cap:
+                return  # congruence exact to precision: no constraint
+            if best is not None and diff.cap - deg * val_x >= best:
+                return  # val of the full difference is >= diff.cap
+            digits = min(2 * digits, x.cap)
 
     for i in range(tower.phi(m)):
         consider(tower.rho_power(m, i), Fraction(i, tower.phi(m)))
@@ -235,6 +255,8 @@ def norm_witness_value(tower: CyclotomicTower) -> Fraction:
 def estimate_constants(
     tower: CyclotomicTower, seed: int = 0, samples: int = 1000
 ) -> ConstantsReport:
+    if samples < 0:
+        raise DomainError(f"the sample count must not be negative, got {samples}")
     a, b, drifts = different_drift(tower)
 
     cells = norm_cells(tower)

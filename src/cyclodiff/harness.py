@@ -727,6 +727,12 @@ _RUNNERS = {
 }
 
 
+def check_sample_count(samples: Optional[int]) -> None:
+    """A suite sample count is None (each suite's default) or positive."""
+    if samples is not None and samples < 1:
+        raise DomainError(f"a suite needs a positive sample count, got {samples}")
+
+
 def suite_passed(assertions: List[dict]) -> bool:
     return all(a["passed"] or a.get("skipped") for a in assertions)
 
@@ -740,6 +746,7 @@ def run_suite(
 ) -> dict:
     if name not in _RUNNERS:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    check_sample_count(samples)
     if constants is None:
         constants = estimate_constants(tower, seed=seed, samples=CONSTANTS_SAMPLES)
     if samples is None:
@@ -765,6 +772,7 @@ def run_all(
     samples: Optional[int] = None,
     constants: Optional[ConstantsReport] = None,
 ) -> dict:
+    check_sample_count(samples)
     if constants is None:
         constants = estimate_constants(tower, seed=seed, samples=CONSTANTS_SAMPLES)
     suites = {}

@@ -274,14 +274,18 @@ class CyclotomicTower:
             )
         return self._pascal[n]
 
-    def _binomial_rows_mod(self, count: int, modulus: int):
-        """First `count` Pascal rows reduced mod `modulus` (cached); keeps the
-        valuation inner loop on machine-size ints."""
-        rows = self._pascal_mod.get(modulus)
+    def _binomial_rows_mod(self, count: int, digits: int):
+        """First `count` Pascal rows reduced mod p^W (cached), where W is the
+        digit class of `digits`: 8, 16, 32, 64, ...  Rows mod p^W agree with
+        the exact rows mod p^digits for W >= digits, and one table per class
+        keeps the cache small however many digit counts callers bring."""
+        width = 8 << max(0, (digits - 1).bit_length() - 3)
+        rows = self._pascal_mod.get(width)
         if rows is None or len(rows) < count:
             self._binomial_row(count - 1)
+            modulus = self.p ** width
             rows = [[v % modulus for v in row] for row in self._pascal[:count]]
-            self._pascal_mod[modulus] = rows
+            self._pascal_mod[width] = rows
         return rows
 
     # -- constructors --------------------------------------------------------
@@ -620,13 +624,13 @@ class CyclotomicTower:
 
         zeta = 1 + rho (odd p) or 1 - rho (p = 2), so this is the Pascal
         transform c_k = (+-1)^k sum_j C(j,k) a_j of the zeta-coordinates, on
-        cached binomial rows mod p^digits.  Callers that need only a prefix
-        break out of the loop.
+        cached binomial rows mod p^W, W >= digits.  Callers that need only a
+        prefix break out of the loop.
         """
         phi = self.phi(x.level)
         mod = self.p ** digits
         reps = [c.rep_mod(digits, shift) for c in x.coeffs]
-        rows = self._binomial_rows_mod(phi, mod)
+        rows = self._binomial_rows_mod(phi, digits)
         flip = self.p == 2
         for k in range(phi):
             total = 0
@@ -791,6 +795,15 @@ class CyclotomicTower:
 
     # -- inversion -----------------------------------------------------------------------
 
+    def truncate(self, x: TowerElement, digits: int) -> TowerElement:
+        """x with every coordinate cut to absolute precision p^digits; x
+        itself when digits is its cap.  Raising the cap is not possible."""
+        if digits == x.cap:
+            return x
+        if digits > x.cap:
+            raise InsufficientPrecision(f"cannot raise cap {x.cap} to {digits}")
+        return TowerElement(self, x.level, [c.truncate(digits) for c in x.coeffs])
+
     def scale_p(self, x: TowerElement, k: int) -> TowerElement:
         """Multiply by the exact power p**k (coordinate shifts, no rounding)."""
         return TowerElement(self, x.level, [c.shift(k) for c in x.coeffs])
@@ -853,14 +866,8 @@ class CyclotomicTower:
         if res == 0:
             raise DomainError("unit inversion got an element of positive valuation")
         cap = z.cap
-
-        def z_to(digits):
-            if digits == cap:
-                return z
-            return TowerElement(self, level, [c.truncate(digits) for c in z.coeffs])
-
         y = self.constant(level, pow(res, -1, p), 1)
-        z_d = z_to(1)
+        z_d = self.truncate(z, 1)
         one = self.one(level, 1)
         for _ in range(self.ramification(level).bit_length() + 1):
             err = self.add(one, -self.mul(z_d, y))
@@ -873,7 +880,7 @@ class CyclotomicTower:
         while d < cap:
             new = min(2 * d, cap)
             y = self.from_int_coeffs(level, [c.rep_mod(d) for c in y.coeffs], new)
-            err = self.add(self.one(level, new), -self.mul(z_to(new), y))
+            err = self.add(self.one(level, new), -self.mul(self.truncate(z, new), y))
             if pack_profile(err.coeffs)[0] < d:
                 raise InsufficientPrecision(
                     f"Newton residual is not zero mod p^{d} on the way to p^{new}"

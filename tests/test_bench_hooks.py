@@ -24,6 +24,7 @@ WATCHED = [
     (cyclodiff.differentials, "elementary_divisor_valuations"),
     (cyclodiff.differentials, "commensurability_check"),
     (cyclodiff.constants, "galois_defect_cell"),
+    (cyclodiff.constants, "norm_congruence_cell"),
     (cyclodiff.tower.CyclotomicTower, "norm_down"),
     (cyclodiff.tower.CyclotomicTower, "trace_down"),
     (cyclodiff.tower.CyclotomicTower, "invert"),
@@ -50,6 +51,7 @@ def test_every_traced_name_exists_and_is_restored():
         tower.norm_down(tower.uniformizer(1), 0)
         tower.trace_down(tower.uniformizer(1), 0)
         cyclodiff.constants.galois_defect_cell(tower, 0, 1)
+        cyclodiff.constants.norm_congruence_cell(tower, 0, 1, 0, 2)
         unit = tower.one(1) + tower.uniformizer(1)
         series = cyclodiff.completion.perp_series_decompose(tower, unit)
         cyclodiff.completion.series_invert(tower, series)
@@ -72,6 +74,12 @@ def test_every_traced_name_exists_and_is_restored():
         "completion.series_invert",
     ):
         assert name in names, name
+    # constants.norm.useful_ratio reads the norm_down and valuation spans
+    # directly under a cell span: one norm_down per ladder rung
+    cells = {span[0] for span in tracer.spans if span[2] == "constants.norm_cell.0-1"}
+    assert len(cells) == 1
+    rungs = [span for span in tracer.spans if span[1] in cells and span[2] == "tower.norm_down"]
+    assert len(rungs) >= tower.phi(1) + 2
     # tower.invert.muls_per_call counts the products nested in invert
     assert descendants_per_call(tracer.spans, "tower.invert", "tower.mul") >= 2
     assert counter.counts["padic.raw"] > 0

@@ -183,6 +183,23 @@ def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
     assert "5-adic scalar in a 3-adic tower" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--samples", "-3"], "the sample count must not be negative, got -3"),
+        (
+            ["verify", "all", "--constants-samples", "-2"],
+            "the sample count must not be negative, got -2",
+        ),
+        (["verify", "rhoval", "--samples", "-1"], "a suite needs a positive sample count, got -1"),
+        (["verify", "all", "--samples", "0"], "a suite needs a positive sample count, got 0"),
+    ],
+)
+def test_bad_sample_count_exits_2(capsys, argv, message):
+    err = rejected(capsys, *argv, *FAST)
+    assert err == f"tower: {message}\n"
+
+
 def test_determinism_across_invocations(capsys):
     rc1, rep1 = run_cli(capsys, "decompose", "--random", "--seed", "3", *FAST)
     rc2, rep2 = run_cli(capsys, "decompose", "--random", "--seed", "3", *FAST)

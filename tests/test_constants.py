@@ -141,3 +141,72 @@ def test_kernel_shift_zero(t3, t2):
 
 def test_norm_congruence_cell_direct(t3):
     assert norm_congruence_cell(t3, 0, 1, seed=5, samples=10) == Fraction(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the precision ladder of norm_congruence_cell
+# ---------------------------------------------------------------------------
+
+
+def full_precision_cell(tower, n, k, seed, samples):
+    """The norm cell with every element evaluated at full precision: the
+    oracle the ladder must match."""
+    m = n + k
+    deg = tower.p ** k
+    rng = cell_rng(seed, "fonemb", n, k)
+    best = None
+
+    def consider(x, val_x):
+        nonlocal best
+        diff = tower.embed(tower.norm_down(x, n), m) - tower.power(x, deg)
+        if diff.is_all_bottom:
+            return
+        v = tower.valuation(diff) - deg * val_x
+        if best is None or v < best:
+            best = v
+
+    for i in range(tower.phi(m)):
+        consider(tower.rho_power(m, i), Fraction(i, tower.phi(m)))
+    for _ in range(samples):
+        consider(tower.random_unit(m, rng), Fraction(0))
+    return best
+
+
+LADDER_TOWERS = [(2, 2, 3, 12), (3, 1, 2, 12), (3, 1, 3, 24), (5, 1, 2, 10)]
+
+
+@pytest.mark.parametrize("p, s, levels, prec", LADDER_TOWERS)
+def test_norm_ladder_matches_the_full_precision_oracle(p, s, levels, prec):
+    tower = CyclotomicTower(TowerParams(p=p, s=s, max_level=levels, prec=prec))
+    for seed in range(3):
+        for n, k in norm_cells(tower):
+            want = full_precision_cell(tower, n, k, seed, 8)
+            assert norm_congruence_cell(tower, n, k, seed, 8) == want, (seed, n, k)
+
+
+@pytest.mark.parametrize("prec", [24, 6])
+def test_norm_ladder_starts_at_8_digits_and_climbs_on_bottom(monkeypatch, prec):
+    # value checks cannot see a ladder that takes an all-bottom rung for "no
+    # constraint"; the caps handed to norm_down can
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=prec))
+    caps = []
+    norm_down = tower.norm_down
+
+    def recording(x, level):
+        caps.append(x.cap)
+        return norm_down(x, level)
+
+    monkeypatch.setattr(tower, "norm_down", recording)
+    samples = 5
+    norm_congruence_cell(tower, 0, 1, seed=0, samples=samples)
+    start = min(8, prec)
+    climbs = []
+    for cap in caps:
+        if cap == start:
+            climbs.append([cap])
+        else:
+            assert cap == min(2 * climbs[-1][-1], prec)
+            climbs[-1].append(cap)
+    assert len(climbs) == tower.phi(1) + samples
+    # x = rho^0 = 1: N(1) - 1^p is exactly zero, bottom on every rung
+    assert climbs[0] == ([8, 16, 24] if prec == 24 else [6])

@@ -26,6 +26,12 @@ CASES = {
         "verify", "all", *P3_SMALL, "--constants-samples", "20", "--samples", "4"
     ],
     "constants_p3_l3_prec24.json": ["constants", *P3_SMALL, "--samples", "20"],
+    # the norm cells' precision ladder at two more primes: rungs 8, 16, cap
+    "constants_p2_s2_l3_prec60.json": [
+        "constants", "--p", "2", "--s", "2", "--levels", "3", "--prec", "60",
+        "--samples", "50",
+    ],
+    "constants_p5_l2_prec20.json": ["constants", *P5_SMALL, "--samples", "10"],
     "decompose_p3_l3_prec24.json": ["decompose", "--random", *P3_SMALL],
     "decompose_p2_l3_prec24.json": ["decompose", "--random", *P2_SMALL],
 }

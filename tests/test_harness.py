@@ -77,6 +77,15 @@ def test_unknown_suite_rejected(t3):
         run_suite(t3, "nonesuch")
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_bad_sample_count_rejected(t3, cons3, samples):
+    # rejected before any constants are measured or suites run
+    with pytest.raises(DomainError):
+        run_suite(t3, "rhoval", constants=cons3, samples=samples)
+    with pytest.raises(DomainError):
+        run_all(t3, samples=samples)
+
+
 def test_run_all_shares_constants(t3, cons3):
     rep = run_all(t3, seed=0, samples=2, constants=cons3)
     validate_report(rep)

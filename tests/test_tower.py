@@ -2,6 +2,7 @@
 normalized-trace mask identity, exact valuations, rho expansions, minimal
 polynomials, inversion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from cyclodiff.errors import (
     InsufficientPrecision,
     ValuationOfZero,
 )
-from cyclodiff.padic import PadicScalar
+from cyclodiff.padic import PadicScalar, vp
 from cyclodiff.tower import CyclotomicTower, TowerElement, TowerParams
 
 
@@ -312,6 +313,39 @@ def test_rho_power_coords_match_rho_powers(tw):
     for k, c in enumerate(coords):
         acc = acc + tw.rho_power(2, k) * c
     assert acc == x
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rho_power_coords_at_any_digit_count(p):
+    # the Pascal rows are cached per digit class (8, 16, 32, 64); digit
+    # counts inside a class must still give the exact binomial sum
+    tower = CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=2, prec=60))
+    level, rng = 2, random.Random(61)
+    phi = tower.phi(level)
+    for digits in (8, 9, 13, 16, 17, 33, 60):
+        mod = p ** digits
+        ints = [rng.randrange(mod) for _ in range(phi)]
+        x = tower.from_int_coeffs(level, ints, digits)
+        sign = -1 if p == 2 else 1
+        direct = [
+            sign ** k * sum(math.comb(j, k) * a for j, a in enumerate(ints)) % mod
+            for k in range(phi)
+        ]
+        coords = tower.rho_power_coords(x)
+        assert [c.rep_mod(digits) for c in coords] == direct, digits
+        scores = [vp(c, p) + Fraction(k, phi) for k, c in enumerate(direct) if c]
+        assert tower.valuation(x) == min(scores), digits
+    assert sorted(tower._pascal_mod) == [8, 16, 32, 64]
+
+
+def test_truncate(tw):
+    x = tw.random_unit(1, random.Random(67))
+    assert tw.truncate(x, x.cap) is x
+    low = tw.truncate(x, 9)
+    assert {c.prec for c in low.coeffs} == {9}
+    assert low == x
+    with pytest.raises(InsufficientPrecision):
+        tw.truncate(x, x.cap + 1)
 
 
 def test_rho_power_matches_power(tw):
