@@ -257,13 +257,6 @@ class PadicScalar:
         u = pow(self.unit, -1, self.p ** m)
         return PadicScalar(self.p, self.prec - 2 * self.val, -self.val, u)
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = PadicScalar.from_int(self.p, other, self.prec + abs(other).bit_length())
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        return self * other.invert()
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented

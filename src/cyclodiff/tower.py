@@ -23,9 +23,21 @@ mod 1 for 0 <= k < phi.  One generator, `_rho_digits`, runs that transform
 on cached binomial rows mod p^N: `rho_power_coords` takes every coordinate,
 `valuation` stops at the first index past its best score.  The way back,
 sum_i c_i rho^i (`from_rho_basis`, the minimal polynomial at rho), is one
-Horner loop.  Multiplication packs coordinates into one big integer product
-(Kronecker substitution), which keeps level-4 products at p = 3 comfortably
-sub-millisecond.
+Horner loop.
+
+Products, powers, conjugates, traces and norms run on one packed form, the
+triple (shift, digits, ints): every coordinate is p^shift (ints[j] +
+O(p^digits)), with the least valuation and the least cap over the coordinates
+(`pack_profile`); digits = 0 is zero at cap shift.  One kernel, `_product`,
+multiplies two triples as one big integer product (Kronecker substitution),
+folds it by the cyclotomic relation and normalises: it reduces mod p^digits
+and moves the common power of p into the shift, so its output is exactly the
+packed form of the product element.  `mul` is one kernel call between
+`_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on triples
+and build `PadicScalar`s once per result; `galois_apply`, `trace_down` and
+`norm_down` share one Galois loop on the ints, `_act`.  An element whose
+coordinates carry different caps (only JSON input and hand-built elements do)
+is read at its least cap, as `mul` always read it.
 
 Inversion strips x = p^a rho^r u down to the unit u and runs Newton's method
 on it with precision doubling: steps mod p until the residual 1 - uy is zero,
@@ -40,13 +52,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from math import gcd
 from typing import Optional
 
 from .errors import (
     DivisionByZeroPadic,
     DomainError,
     InsufficientPrecision,
+    PadicError,
     ValuationOfZero,
 )
 from .padic import PadicScalar, check_json, pack_profile, vp
@@ -404,7 +418,60 @@ class CyclotomicTower:
             self, x.level, [a + b for a, b in zip(x.coeffs, y.coeffs)]
         )
 
-    # -- multiplication (Kronecker substitution) -------------------------------
+    # -- the packed form and multiplication (Kronecker substitution) ----------
+
+    def _pack(self, x: TowerElement):
+        """x as (shift, digits, ints): every coordinate is p^shift * (ints[j] +
+        O(p^digits)), from `pack_profile`'s least valuation and least cap.
+        digits == 0 means zero at cap shift."""
+        shift, digits = pack_profile(x.coeffs)
+        if not digits:
+            return shift, 0, [0] * len(x.coeffs)
+        return shift, digits, [c.rep_mod(digits, shift) for c in x.coeffs]
+
+    def _unpack(self, level: int, packed) -> TowerElement:
+        shift, digits, ints = packed
+        if not digits:
+            return self.zero(level, shift)
+        p, prec = self.p, shift + digits
+        return TowerElement(self, level, [PadicScalar.raw(p, shift, a, prec) for a in ints])
+
+    def _normalise(self, shift: int, digits: int, acc):
+        """(shift, digits, acc) with acc reduced mod p^digits and the common
+        power of p moved into the shift: `_pack` of the unpacked element."""
+        mod = self.p ** digits
+        ints = [a % mod for a in acc]
+        g = gcd(mod, *ints)
+        if g == 1:
+            return shift, digits, ints
+        k = vp(g, self.p)
+        return shift + k, digits - k, [a // g for a in ints]
+
+    def _product(self, level: int, a, b):
+        """The one product kernel, on packed elements of one level."""
+        sa, da, xa = a
+        sb, db, xb = b
+        if not da or not db:
+            # Nothing usable survives a product; only the cap is known.
+            return min(sa + da + sb, sb + db + sa), 0, [0] * len(xa)
+        p, phi = self.p, len(xa)
+        w = ((phi * (p ** da - 1) * (p ** db - 1)).bit_length() + 7) // 8
+        za = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in xa), "little")
+        if b is a:
+            z = za * za
+        else:
+            z = za * int.from_bytes(b"".join(c.to_bytes(w, "little") for c in xb), "little")
+        nslots = 2 * phi - 1
+        zb = z.to_bytes(nslots * w, "little")
+        zs = [int.from_bytes(zb[t : t + w], "little") for t in range(0, nslots * w, w)]
+        # zeta^t is its own basis vector for t < phi; fold the rest by the plan
+        acc, plan = zs[:phi], self._plan(level)
+        for t in range(phi, nslots):
+            zt = zs[t]
+            if zt:
+                for slot, sign in plan[t]:
+                    acc[slot] += zt if sign > 0 else -zt
+        return self._normalise(sa + sb, min(da, db), acc)
 
     def mul(self, x: TowerElement, y) -> TowerElement:
         if isinstance(y, (int, PadicScalar)):
@@ -412,50 +479,25 @@ class CyclotomicTower:
         if not isinstance(y, TowerElement):
             return NotImplemented
         x, y = self._align(x, y)
-        p, level = self.p, x.level
-        phi = self.phi(level)
-        sx, dx = pack_profile(x.coeffs)
-        sy, dy = pack_profile(y.coeffs)
-        if dx <= 0 or dy <= 0 or x.is_all_bottom or y.is_all_bottom:
-            # Nothing usable survives a product; only the cap is known.
-            prec = min(sx + dx + sy, sy + dy + sx)
-            return self.zero(level, prec)
-        digits = min(dx, dy)
-        width = (phi * (p ** dx - 1) * (p ** dy - 1)).bit_length()
-        width = ((width + 7) // 8) * 8
-        w = width // 8
-        bx = b"".join(c.rep_mod(dx, sx).to_bytes(w, "little") for c in x.coeffs)
-        by = b"".join(c.rep_mod(dy, sy).to_bytes(w, "little") for c in y.coeffs)
-        z = int.from_bytes(bx, "little") * int.from_bytes(by, "little")
-        nslots = 2 * phi - 1
-        zb = z.to_bytes(nslots * w, "little")
-        plan = self._plan(level)
-        acc = [0] * phi
-        for t in range(nslots):
-            zt = int.from_bytes(zb[t * w : (t + 1) * w], "little")
-            if zt == 0:
-                continue
-            for slot, sign in plan[t]:
-                acc[slot] += zt if sign > 0 else -zt
-        val0 = sx + sy
-        prec = val0 + digits
-        coeffs = [PadicScalar.raw(p, val0, a, prec) for a in acc]
-        return TowerElement(self, level, coeffs)
+        return self._unpack(x.level, self._product(x.level, self._pack(x), self._pack(y)))
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
+        """x^n by square-and-multiply on the packed form of x."""
         if n < 0:
             return self.power(self.invert(x), -n)
         if n == 0:
             return self.one(x.level, x.cap)
+        if n == 1:
+            return x
         out = None
-        acc = x
+        acc = self._pack(x)
         while n:
             if n & 1:
-                out = acc if out is None else self.mul(out, acc)
+                out = acc if out is None else self._product(x.level, out, acc)
             n >>= 1
             if n:
-                acc = self.mul(acc, acc)
-        return out
+                acc = self._product(x.level, acc, acc)
+        return self._unpack(x.level, out)
 
     # -- sparse shortcuts -------------------------------------------------------
 
@@ -537,22 +579,24 @@ class CyclotomicTower:
             raise DomainError("element was not built as a power of the generator")
         return g.exponent
 
+    def _act(self, level: int, unit: int, packed):
+        """zeta -> zeta^unit on a packed element: the one Galois loop."""
+        if unit == 1:
+            return packed
+        shift, digits, ints = packed
+        q, plan = self.q(level), self._plan(level)
+        out = [0] * len(ints)
+        for j, a in enumerate(ints):
+            if a:
+                for slot, sign in plan[(unit * j) % q]:
+                    out[slot] += a if sign > 0 else -a
+        return self._normalise(shift, digits, out)
+
     def galois_apply(self, g: GaloisElement, x: TowerElement) -> TowerElement:
+        """g(x), read at the least cap of x's coordinates."""
         if g.level != x.level:
             raise DomainError("automorphism level does not match element level")
-        q = self.q(x.level)
-        phi = self.phi(x.level)
-        plan = self._plan(x.level)
-        out = [None] * phi
-        for j, c in enumerate(x.coeffs):
-            if c.is_bottom:
-                continue  # covered by the bottom(cap) default below
-            t = (g.unit * j) % q
-            for slot, sign in plan[t]:
-                term = c if sign > 0 else -c
-                out[slot] = term if out[slot] is None else out[slot] + term
-        bot = PadicScalar.bottom(self.p, x.cap)
-        return TowerElement(self, x.level, [bot if c is None else c for c in out])
+        return self._unpack(x.level, self._act(x.level, g.unit, self._pack(x)))
 
     def relative_galois(self, level: int):
         """The p automorphisms of K_level fixing K_(level-1)."""
@@ -562,23 +606,47 @@ class CyclotomicTower:
         return [self.galois_by_unit(level, 1 + c * h) for c in range(self.p)]
 
     def _fold_conjugates(self, x: TowerElement, level: int, combine, what: str):
-        """Fold the conjugates of x with ``combine`` one layer at a time,
-        down to ``level``: the trace for add, the norm for mul."""
+        """Combine the conjugates of x one layer at a time down to ``level``
+        (``combine(layer, conjugates)`` on packed elements), restricting after
+        each layer.  x is packed once, at its least cap, and the result
+        unpacked once."""
         self._check_level(level)
         if level > x.level:
             raise DomainError(f"{what} target above element level")
-        while x.level > level:
-            conjugates = (self.galois_apply(g, x) for g in self.relative_galois(x.level))
-            x = self.restrict(reduce(combine, conjugates), x.level - 1)
-        return x
+        if x.level == level:
+            return x
+        packed = self._pack(x)
+        for top in range(x.level, level, -1):
+            conjugates = [self._act(top, g.unit, packed) for g in self.relative_galois(top)]
+            shift, digits, ints = combine(top, conjugates)
+            for j, a in enumerate(ints):
+                if a and j % self.p:
+                    raise DomainError(
+                        f"coordinate {j} is nonzero; element not in level {top - 1}"
+                    )
+            packed = shift, digits, ints[:: self.p]
+        return self._unpack(level, packed)
+
+    def _sum(self, level: int, conjugates):
+        """The elementwise sum of packed conjugates, which share one shift
+        and one digit count because the Galois action keeps both."""
+        shift, digits, _ = conjugates[0]
+        if any(c[:2] != (shift, digits) for c in conjugates):
+            raise PadicError("conjugates of one element differ in shift or digits")
+        sums = [sum(col) for col in zip(*(c[2] for c in conjugates))]
+        return self._normalise(shift, digits, sums)
 
     def trace_down(self, x: TowerElement, level: int) -> TowerElement:
-        """Tr_{K_m/K_level}(x) by honest conjugate sums, one layer at a time."""
-        return self._fold_conjugates(x, level, self.add, "trace")
+        """Tr_{K_m/K_level}(x) by honest conjugate sums, one layer at a time,
+        read at the least cap of x's coordinates."""
+        return self._fold_conjugates(x, level, self._sum, "trace")
 
     def norm_down(self, x: TowerElement, level: int) -> TowerElement:
-        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a time."""
-        return self._fold_conjugates(x, level, self.mul, "norm")
+        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a
+        time, read at the least cap of x's coordinates."""
+        return self._fold_conjugates(
+            x, level, lambda top, cs: reduce(partial(self._product, top), cs), "norm"
+        )
 
     # -- normalized trace and perp projections ------------------------------------
 

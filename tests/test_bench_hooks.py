@@ -28,6 +28,8 @@ WATCHED = [
     (cyclodiff.tower.CyclotomicTower, "norm_down"),
     (cyclodiff.tower.CyclotomicTower, "trace_down"),
     (cyclodiff.tower.CyclotomicTower, "invert"),
+    (cyclodiff.tower.CyclotomicTower, "power"),
+    (cyclodiff.tower.CyclotomicTower, "galois_apply"),
     (cyclodiff.completion, "series_invert"),
     (cyclodiff.reportio, "canonical_dumps"),
     (cyclodiff.padic.PadicScalar, "raw"),
@@ -50,6 +52,10 @@ def test_every_traced_name_exists_and_is_restored():
         assert cyclodiff.differentials.commensurability_check(3, 2, eye, three) == (1, 0)
         tower.norm_down(tower.uniformizer(1), 0)
         tower.trace_down(tower.uniformizer(1), 0)
+        # the folds and power run on packed ints, so galois_apply and the
+        # products inside power are traced only when called directly
+        tower.power(tower.uniformizer(1), 4)
+        tower.galois_apply(tower.galois(1, 1), tower.uniformizer(1))
         cyclodiff.constants.galois_defect_cell(tower, 0, 1)
         cyclodiff.constants.norm_congruence_cell(tower, 0, 1, 0, 2)
         unit = tower.one(1) + tower.uniformizer(1)
@@ -69,6 +75,7 @@ def test_every_traced_name_exists_and_is_restored():
         "tower.norm_down",
         "tower.trace_down",
         "tower.galois_apply",
+        "tower.power",
         "tower.mul",
         "tower.invert",
         "completion.series_invert",

@@ -34,6 +34,12 @@ CASES = {
     "constants_p5_l2_prec20.json": ["constants", *P5_SMALL, "--samples", "10"],
     "decompose_p3_l3_prec24.json": ["decompose", "--random", *P3_SMALL],
     "decompose_p2_l3_prec24.json": ["decompose", "--random", *P2_SMALL],
+    # p=7: the norm fold multiplies 7 conjugates, each wrapped product term
+    # lands in 6 slots
+    "verify_p7_l1_prec10.json": [
+        "verify", "all", "--p", "7", "--levels", "1", "--prec", "10",
+        "--constants-samples", "8", "--samples", "2",
+    ],
 }
 
 P2_DESK_PIN = "9e90a093747060ed3662d22890e01295d78bf858e200f94370ca18b049e84df6"

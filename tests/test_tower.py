@@ -5,6 +5,7 @@ polynomials, inversion."""
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +14,7 @@ from cyclodiff.errors import (
     DivisionByZeroPadic,
     DomainError,
     InsufficientPrecision,
+    PadicError,
     ValuationOfZero,
 )
 from cyclodiff.padic import PadicScalar, vp
@@ -584,6 +586,101 @@ def test_norm_is_multiplicative(case, data):
     target = data.draw(st.integers(0, x.level))
     lhs = tower.norm_down(tower.mul(x, y), target)
     assert lhs == tower.mul(tower.norm_down(x, target), tower.norm_down(y, target))
+
+
+# galois_apply, the trace and norm folds and power as loops over PadicScalar
+# coordinates: the oracles for the packed versions in the tower.  Reports
+# cannot see a wrong cap, so the properties below compare element bytes.
+
+
+def galois_oracle(tower, g, x):
+    q, plan = tower.q(x.level), tower._plan(x.level)
+    out = [None] * tower.phi(x.level)
+    for j, c in enumerate(x.coeffs):
+        if c.is_bottom:
+            continue
+        for slot, sign in plan[(g.unit * j) % q]:
+            term = c if sign > 0 else -c
+            out[slot] = term if out[slot] is None else out[slot] + term
+    bot = PadicScalar.bottom(tower.p, x.cap)
+    return TowerElement(tower, x.level, [bot if c is None else c for c in out])
+
+
+def fold_oracle(tower, x, level, combine):
+    while x.level > level:
+        conjugates = [galois_oracle(tower, g, x) for g in tower.relative_galois(x.level)]
+        x = tower.restrict(reduce(combine, conjugates), x.level - 1)
+    return x
+
+
+def power_oracle(tower, x, n):
+    out, acc = None, x
+    while n:
+        if n & 1:
+            out = acc if out is None else tower.mul(out, acc)
+        n >>= 1
+        if n:
+            acc = tower.mul(acc, acc)
+    return out
+
+
+def chain_pairs(tower, x, n):
+    """(name, packed result, oracle result) for power(x, n), the norm and
+    trace to every level at or below x's, and galois_apply under every unit."""
+    yield "power", tower.power(x, n), power_oracle(tower, x, n)
+    for level in range(x.level + 1):
+        yield "norm", tower.norm_down(x, level), fold_oracle(tower, x, level, tower.mul)
+        yield "trace", tower.trace_down(x, level), fold_oracle(tower, x, level, tower.add)
+    q = tower.q(x.level)
+    for unit in range(1, q):
+        if unit % tower.p:
+            g = tower.galois_by_unit(x.level, unit)
+            yield "galois", tower.galois_apply(g, x), galois_oracle(tower, g, x)
+
+
+@st.composite
+def uniform_elements(draw):
+    """(tower, x) with one cap on every coordinate: zero, p^k multiples, rho
+    power multiples and elements within a digit of their cap among them."""
+    tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    p = tower.p
+    level = draw(st.integers(0, tower.max_level))
+    phi = tower.phi(level)
+    cap = draw(st.integers(1, tower.prec))
+    k = draw(st.integers(0, cap))  # k = cap gives zero
+    ints = draw(st.lists(st.integers(0, p ** (cap - k)), min_size=phi, max_size=phi))
+    x = tower.from_int_coeffs(level, [p ** k * a for a in ints], cap)
+    r = draw(st.integers(0, phi - 1))
+    if r:
+        x = tower.mul(x, tower.rho_power(level, r, cap))
+    return tower, x
+
+
+@settings(max_examples=120, deadline=None)
+@given(uniform_elements(), st.integers(1, 40))
+def test_chains_match_the_scalar_oracles_byte_for_byte(case, n):
+    tower, x = case
+    assert len({c.prec for c in x.coeffs}) == 1
+    for name, got, want in chain_pairs(tower, x, n):
+        assert got.to_json() == want.to_json(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_elements(), st.integers(1, 40))
+def test_chains_on_ragged_caps_claim_no_more_than_the_oracles(case, n):
+    # ragged input is read at its least cap, which may be below the caps the
+    # oracle keeps per coordinate; the values agree at shared precision
+    tower, x = case
+    for name, got, want in chain_pairs(tower, x, n):
+        assert got == want, name
+        assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs)), name
+
+
+def test_trace_rejects_conjugates_that_differ_in_shift(tw):
+    packed = tw._pack(tw.random_unit(1, random.Random(83)))
+    other = (packed[0] + 1, packed[1], packed[2])
+    with pytest.raises(PadicError):
+        tw._sum(1, [packed, other])
 
 
 def test_scale_p(tw):
