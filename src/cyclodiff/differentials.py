@@ -88,12 +88,10 @@ def different(tower: CyclotomicTower, level: int, base: str = "K0") -> Different
         gen = tower.minpoly_derivative_at_rho(level)
         expected = Fraction(level)
     else:
-        coeffs = tower.minimal_polynomial_qp(level)
-        # derivative coefficients (k+1) c_(k+1), Horner at rho
-        acc = tower.zero(level)
-        for k in range(len(coeffs) - 1, 0, -1):
-            acc = tower.mul_rho(acc) + tower.constant(level, k * coeffs[k])
-        gen = acc
+        g, p, prec = tower.minimal_polynomial_qp(level), tower.p, tower.prec
+        gen = tower.from_rho_power_coords(
+            level, [PadicScalar.from_int(p, k * g[k], prec) for k in range(1, len(g))]
+        )
         expected = Fraction(level + tower.s) - Fraction(1, tower.p - 1)
     got = tower.valuation(gen)
     if got != expected:
@@ -124,17 +122,18 @@ def differential(
             raise DomainError("differential is defined on integral elements")
     except ValuationOfZero:
         pass
+    # d(sum_k c_k rho^k) = sum_k k c_k rho^(k-1) d(rho); the top slot is zero
+    # at the working precision, which caps the class there.
     if base == "K0":
-        coeffs = tower.to_rho_basis(x).coeffs
-        acc = tower.zero(level)
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = tower.mul_rho(acc) + tower.embed(coeffs[i] * i, level)
+        c = tower.to_rho_basis(x).coeffs
+        derived = [c[i] * i for i in range(1, len(c))] + [tower.zero(0)]
+        rep = tower.from_rho_basis(RhoExpansion(level, tuple(derived)))
     else:
-        coords = tower.rho_power_coords(x)
-        acc = tower.zero(level)
-        for k in range(len(coords) - 1, 0, -1):
-            acc = tower.mul_rho(acc) + tower.constant(level, coords[k] * k)
-    return OmegaClass(level, base, acc, modulus_valuation(tower, level, base))
+        a = tower.rho_power_coords(x)
+        derived = [a[k] * k for k in range(1, len(a))]
+        derived.append(PadicScalar.bottom(tower.p, tower.prec))
+        rep = tower.from_rho_power_coords(level, derived)
+    return OmegaClass(level, base, rep, modulus_valuation(tower, level, base))
 
 
 def level_transition_factor(tower: CyclotomicTower, n: int, m: int) -> TowerElement:
@@ -179,20 +178,6 @@ def mixed_coords(tower: CyclotomicTower, x: TowerElement) -> List[PadicScalar]:
     for c in tower.to_rho_basis(x).coeffs:
         out.extend(tower.rho_power_coords(c))
     return out
-
-
-def coords_to_element(tower: CyclotomicTower, level: int, vec) -> TowerElement:
-    d0 = tower.phi(0)
-    d = tower.degree(level)
-    if len(vec) != d0 * d:
-        raise DomainError(f"need {d0 * d} coordinates, got {len(vec)}")
-    coeffs = []
-    for i in range(d):
-        c = tower.zero(0)
-        for j in range(d0):
-            c = c + tower.rho_power(0, j) * vec[i * d0 + j]
-        coeffs.append(c)
-    return tower.from_rho_basis(RhoExpansion(level, tuple(coeffs)))
 
 
 def mixed_basis_elements(tower: CyclotomicTower, level: int) -> List[TowerElement]:
@@ -438,21 +423,22 @@ def layer_sum_columns(tower: CyclotomicTower, n: int):
 def random_kernel_element(tower: CyclotomicTower, level: int, rng, base: str = "K0") -> TowerElement:
     """Random Z_p-combination of the kernel lattice generators."""
     ker = kernel_lattice(tower, level, base)
+    p, prec = tower.p, tower.prec
+
+    def draw(e):
+        # c p^e with c drawn below p^(prec - e), known mod p^prec
+        return PadicScalar.from_int(p, rng.randrange(p ** (prec - e)) * p ** e, prec)
+
+    if ker.base == "Qp":
+        return tower.from_rho_power_coords(level, [draw(e) for e in ker.exps])
     d0 = tower.phi(0)
-    acc = tower.zero(level)
-    if ker.base == "K0":
-        for i in range(tower.degree(level)):
-            r = ker.exps[i]
-            for j in range(d0):
-                a = max(0, -((j - r) // d0))
-                c = rng.randrange(tower.p ** (tower.prec - a))
-                term = tower.embed(tower.rho_power(0, j), level) * (c * tower.p ** a)
-                acc = acc + tower.mul(term, tower.rho_power(level, i))
-        return acc
-    for k in range(tower.phi(level)):
-        c = rng.randrange(tower.p ** (tower.prec - ker.exps[k]))
-        acc = acc + tower.rho_power(level, k) * (c * tower.p ** ker.exps[k])
-    return acc
+    coeffs = []
+    for r in ker.exps:
+        # the generators rho_0^j p^a rho_n^i, p^a the least power with
+        # rho_0^j p^a in rho_0^r O_{K_0}
+        lane = [draw(max(0, -((j - r) // d0))) for j in range(d0)]
+        coeffs.append(tower.from_rho_power_coords(0, lane))
+    return tower.from_rho_basis(RhoExpansion(level, tuple(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,43 +514,26 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
     ker = kernel_lattice(tower, n, "K0")
     if not kernel_contains(tower, ker, x):
         raise DomainError("decomposition needs dx = 0 (x in the kernel lattice)")
-    xc = tower.to_rho_basis(x).coeffs
-    p = tower.p
+    # x = sum_i c_i rho_n^i.  layers[k] = sum_j c_(p^k j) rho_(n-k)^j, cut to
+    # the working precision: layers[0] is x, the parts are the steps
+    # layers[k-1] - layers[k], and the last layer is the tail.
+    xc, p = tower.to_rho_basis(x).coeffs, tower.p
+    layers = []
+    for k in range(n - n1 + 1):
+        layer = tower.from_rho_basis(RhoExpansion(n - k, xc[:: p ** k]))
+        layers.append(tower.truncate(layer, min(layer.cap, tower.prec)))
     parts = []
     margins = []
     for k in range(1, n - n1 + 1):
         lev = n - k + 1
-        y = tower.zero(lev)
-        for j in range(1, p ** lev):
-            if j % p == 0:
-                continue
-            c = xc[p ** (k - 1) * j]
-            if c.is_all_bottom:
-                continue
-            y = y + tower.mul(tower.embed(c, lev), tower.rho_power(lev, j))
-        for ell in range(p ** (lev - 1)):
-            c = xc[p ** k * ell]
-            if c.is_all_bottom:
-                continue
-            bridge = tower.rho_power(lev, p * ell) - tower.embed(
-                tower.rho_power(lev - 1, ell), lev
-            )
-            y = y + tower.mul(tower.embed(c, lev), bridge)
+        y = layers[k - 1] - tower.embed(layers[k], lev)
         parts.append(y)
         need = Fraction(lev - n1)
         try:
             margins.append(tower.valuation(y) - need)
         except ValuationOfZero:
             margins.append(Fraction(tower.prec) - need)  # zero part: huge margin
-    tail = tower.zero(n1)
-    for ell in range(p ** n1):
-        c = xc[p ** (n - n1) * ell]
-        if c.is_all_bottom:
-            continue
-        tail = tail + tower.mul(tower.embed(c, n1), tower.rho_power(n1, ell))
-    total = tower.embed(tail, n)
-    for y in parts:
-        total = total + tower.embed(y, n)
-    if not (total - x).is_all_bottom:
+    tail = layers[-1]
+    if not (layers[0] - x).is_all_bottom:
         raise DomainError("internal error: decomposition failed to telescope")
     return FlatDecomposition(n1, tuple(parts), tail, tuple(margins))

@@ -422,12 +422,9 @@ def _run_fouvar(tower, seed, constants, samples):
             continue
         count += 1
         dec = flat_decompose(tower, x, n1)
-        if all(m >= 0 for m in dec.margins):
-            low = min(dec.margins) if dec.margins else Fraction(0)
-            if margin_floor is None or low < margin_floor:
-                margin_floor = low
-        else:
-            margin_floor = min(dec.margins)
+        low = min(dec.margins, default=Fraction(0))
+        if margin_floor is None or low < margin_floor:
+            margin_floor = low
         tail_val = _val(tower, dec.tail)
         if tail_val is None or tail_val >= 0:
             tails_ok += 1

@@ -148,13 +148,6 @@ class PadicScalar:
             raise ValuationOfZero(f"element is O({self.p}^{self.prec})")
         return self.val
 
-    @property
-    def unit_digits(self) -> int:
-        """Relative precision: number of known base-p digits of the unit."""
-        if self.val is None:
-            return 0
-        return self.prec - self.val
-
     def rep_mod(self, digits: int, shift: int = 0) -> int:
         """Integer representative of ``self / p**shift`` modulo p^digits.
 
@@ -170,14 +163,6 @@ class PadicScalar:
         if self.val < shift:
             raise DomainError(f"valuation {self.val} below shift {shift}")
         return (self.unit * self.p ** (self.val - shift)) % (self.p ** digits)
-
-    def to_fraction(self) -> Fraction:
-        """Canonical rational representative (0 for bottom)."""
-        if self.val is None:
-            return Fraction(0)
-        if self.val >= 0:
-            return Fraction(self.unit * self.p ** self.val)
-        return Fraction(self.unit, self.p ** (-self.val))
 
     # -- arithmetic ------------------------------------------------------
 

@@ -39,10 +39,6 @@ def jsonable(obj):
     return str(obj)
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def envelope(
     tower: CyclotomicTower, kind: str, seed: Optional[int], payload: dict
 ) -> dict:

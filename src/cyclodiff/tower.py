@@ -20,10 +20,11 @@ Valuations are exact, not estimated: the transform from zeta-coordinates to
 the rho-power basis over Q_p is unipotent-triangular (a Pascal matrix), and
 the rho-power basis splits valuations because k/phi are pairwise distinct
 mod 1 for 0 <= k < phi.  One generator, `_rho_digits`, runs that transform
-on cached binomial rows mod p^N: `rho_power_coords` takes every coordinate,
-`valuation` stops at the first index past its best score.  The way back,
-sum_i c_i rho^i (`from_rho_basis`, the minimal polynomial at rho), is one
-Horner loop.
+on plain ints with cached binomial rows mod p^N, in both directions (the
+inverse is the same rows with signs): `rho_power_coords` takes every
+coordinate, `valuation` stops at the first index past its best score, and
+every sum over rho powers, sum_k c_k rho^k over Q_p (`from_rho_power_coords`)
+or over K_0 (`from_rho_basis`), runs it backwards.
 
 Products, powers, conjugates, traces and norms run on one packed form, the
 triple (shift, digits, ints): every coordinate is p^shift (ints[j] +
@@ -89,18 +90,27 @@ class TowerParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DomainError(f"{name} must be an int, got {value!r}")
-        if not _is_prime(self.p):
-            raise DomainError(f"p = {self.p} is not prime")
-        want_s = 2 if self.p == 2 else 1
-        if self.s != want_s:
-            raise DomainError(f"p = {self.p} requires s = {want_s}, got {self.s}")
+        if self.p < 2:
+            raise DomainError("p must be a prime")
         if self.max_level < 1:
             raise DomainError("max_level must be >= 1")
         if self.prec < 4:
             raise DomainError("prec must be >= 4")
-        top_degree = (self.p - 1) * self.p ** (self.max_level + self.s - 1)
+        # The degree cap comes first and never forms p^(max_level + s - 1):
+        # the loop stops once the degree passes the cap, and a p past the cap
+        # never reaches the trial division below.
+        top_degree = self.p - 1
+        for _ in range(self.max_level + self.s - 1):
+            if top_degree > 4096:
+                break
+            top_degree *= self.p
         if top_degree > 4096:
-            raise DomainError(f"top field degree {top_degree} exceeds the 4096 cap")
+            raise DomainError("top field degree exceeds the 4096 cap")
+        if not _is_prime(self.p):
+            raise DomainError(f"p = {self.p} is not prime")
+        want_s = 2 if self.p == 2 else 1
+        if self.s != want_s:
+            raise DomainError(f"p = {self.p} requires s = {want_s}")
 
 
 @dataclass(frozen=True)
@@ -116,16 +126,6 @@ class GaloisElement:
     unit: int
     modulus: int
     exponent: Optional[int] = None
-
-    def compose(self, other: "GaloisElement") -> "GaloisElement":
-        if self.level != other.level:
-            raise DomainError("automorphisms of different levels")
-        expo = None
-        if self.exponent is not None and other.exponent is not None:
-            expo = self.exponent + other.exponent
-        return GaloisElement(
-            self.level, (self.unit * other.unit) % self.modulus, self.modulus, expo
-        )
 
     def inverse(self) -> "GaloisElement":
         expo = -self.exponent if self.exponent is not None else None
@@ -499,28 +499,6 @@ class CyclotomicTower:
                 acc = self._product(x.level, acc, acc)
         return self._unpack(x.level, out)
 
-    # -- sparse shortcuts -------------------------------------------------------
-
-    def mul_zeta(self, x: TowerElement) -> TowerElement:
-        """x * zeta in O(phi) scalar operations."""
-        phi, h = self.phi(x.level), self.h(x.level)
-        wrap = x.coeffs[phi - 1]
-        out = [None] * phi
-        out[0] = -wrap
-        for j in range(1, phi):
-            out[j] = x.coeffs[j - 1]
-        # zeta^phi = -(1 + zeta^h + ... + zeta^((p-2)h)); the slot-0 term is
-        # already in out[0].
-        for i in range(1, self.p - 1):
-            out[i * h] = out[i * h] - wrap
-        return TowerElement(self, x.level, out)
-
-    def mul_rho(self, x: TowerElement) -> TowerElement:
-        xz = self.mul_zeta(x)
-        if self.p == 2:
-            return self.add(x, -xz)
-        return self.add(xz, -x)
-
     # -- moving between levels ----------------------------------------------------
 
     def embed(self, x: TowerElement, level: int) -> TowerElement:
@@ -686,24 +664,27 @@ class CyclotomicTower:
 
     # -- exact valuation ------------------------------------------------------------
 
-    def _rho_digits(self, x: TowerElement, shift: int, digits: int):
-        """Yield (k, c_k mod p^digits) for k = 0, 1, ..., phi - 1, where
-        x = p^shift sum_k c_k rho^k over Q_p.
+    def _rho_digits(self, ints, digits: int, inverse: bool = False):
+        """Yield (k, c_k mod p^digits) for k < len(ints): the Pascal transform
+        from zeta- to rho-coordinates of ints, or back with inverse=True.
 
-        zeta = 1 + rho (odd p) or 1 - rho (p = 2), so this is the Pascal
-        transform c_k = (+-1)^k sum_j C(j,k) a_j of the zeta-coordinates, on
-        cached binomial rows mod p^W, W >= digits.  Callers that need only a
-        prefix break out of the loop.
+        zeta = 1 + s rho with s = 1 (odd p) or -1 (p = 2), so the way there is
+        c_k = s^k sum_(j>=k) C(j,k) a_j, and rho = s (zeta - 1) gives the way
+        back, a_j = (-1)^j sum_(k>=j) C(k,j) (-s)^k c_k: the same rows with
+        signs, and at p = 2 the same sum.  No cyclotomic reduction enters
+        below exponent phi.  The rows are cached mod p^W, W >= digits;
+        callers that need only a prefix break out of the loop.
         """
-        phi = self.phi(x.level)
-        mod = self.p ** digits
-        reps = [c.rep_mod(digits, shift) for c in x.coeffs]
-        rows = self._binomial_rows_mod(phi, digits)
-        flip = self.p == 2
-        for k in range(phi):
+        n, mod = len(ints), self.p ** digits
+        rows = self._binomial_rows_mod(n, digits)
+        odd = self.p != 2
+        if inverse and odd:
+            ints = [-a if j & 1 else a for j, a in enumerate(ints)]
+        flip = inverse or not odd
+        for k in range(n):
             total = 0
-            for j in range(k, phi):
-                r = reps[j]
+            for j in range(k, n):
+                r = ints[j]
                 if r:
                     total += rows[j][k] * r
             if flip and k & 1:
@@ -715,8 +696,22 @@ class CyclotomicTower:
         sx, dx = pack_profile(x.coeffs)
         if dx <= 0 or x.is_all_bottom:
             return [PadicScalar.bottom(self.p, sx + max(dx, 0))] * self.phi(x.level)
-        digits = self._rho_digits(x, sx, dx)
+        digits = self._rho_digits([c.rep_mod(dx, sx) for c in x.coeffs], dx)
         return [PadicScalar.raw(self.p, sx, c, sx + dx) for _, c in digits]
+
+    def from_rho_power_coords(self, level: int, coords) -> TowerElement:
+        """sum_k coords[k] rho_level^k over Q_p, the inverse of
+        `rho_power_coords`, read at the least cap of the coords."""
+        self._check_level(level)
+        phi = self.phi(level)
+        if len(coords) != phi:
+            raise DomainError(f"need {phi} coordinates, got {len(coords)}")
+        shift, digits = pack_profile(coords)
+        if not digits:
+            return self.zero(level, shift)
+        ints = [c.rep_mod(digits, shift) for c in coords]
+        out = [a for _, a in self._rho_digits(ints, digits, inverse=True)]
+        return self._unpack(level, (shift, digits, out))
 
     def valuation(self, x: TowerElement) -> Fraction:
         """Exact valuation with val(p) = 1; raises ValuationOfZero when the
@@ -735,7 +730,8 @@ class CyclotomicTower:
         windows = sorted({min(8, dx), min(16, dx), min(32, dx), dx})
         for win in windows:
             best = None  # val_p(c_k) * e + k, an integer
-            for k, c in self._rho_digits(x, sx, win):
+            reps = [c.rep_mod(win, sx) for c in x.coeffs]
+            for k, c in self._rho_digits(reps, win):
                 if c:
                     cand = vp(c, self.p) * e + k
                     if best is None or cand < best:
@@ -799,11 +795,6 @@ class CyclotomicTower:
                 coeffs[k] = -coeffs[k]
         return coeffs
 
-    def minpoly_eval_at_rho(self, level: int) -> TowerElement:
-        """g(rho_level) with g the certified minimal polynomial; for tests.
-        Should be indistinguishable from zero."""
-        return self._horner_rho(level, self.minimal_polynomial(level))
-
     def minpoly_derivative_at_rho(self, level: int, prec: Optional[int] = None) -> TowerElement:
         """g'(rho_level) in closed form: +-p^n zeta^(p^n - 1)."""
         d = self.degree(level)
@@ -814,16 +805,16 @@ class CyclotomicTower:
 
     def _dual_data(self, level: int):
         """Cached trace-dual basis b_i = q_i / g'(rho) for the rho-power basis
-        over K_0 (q_i the Horner quotients of g by X - rho)."""
+        over K_0, q_i = sum_(k>i) g_k rho^(k-i-1) the quotients of g by X - rho."""
         got = self._dual_basis.get(level)
         if got is not None:
             return got
         d = self.degree(level)
-        g = self.minimal_polynomial(level)
-        quots = [None] * d
-        quots[d - 1] = self.one(level)
-        for i in range(d - 1, 0, -1):
-            quots[i - 1] = self.add(self.mul_rho(quots[i]), self.embed(g[i], level))
+        g, zero = self.minimal_polynomial(level), self.zero(0)
+        quots = [
+            self.from_rho_basis(RhoExpansion(level, g[i + 1 :] + (zero,) * i))
+            for i in range(d)
+        ]
         # extra headroom so dividing by p^level costs no working digits
         gp = self.minpoly_derivative_at_rho(level, self.prec + level)
         gp_inv = self.invert(gp)
@@ -846,20 +837,28 @@ class CyclotomicTower:
         return RhoExpansion(level, tuple(coeffs))
 
     def from_rho_basis(self, expansion: RhoExpansion) -> TowerElement:
-        level = expansion.level
+        """sum_i c_i rho_n^i for level-0 coefficients c_i, read at their least
+        cap.  zeta_n^d = zeta_0 for d = p^n, so the zeta_n-coordinate i + d t
+        of the sum is coordinate i of the inverse Pascal transform of lane t,
+        (c_0[t], ..., c_(d-1)[t])."""
+        level, coeffs = expansion.level, expansion.coeffs
         self._check_level(level)
         d = self.degree(level)
-        if len(expansion.coeffs) != d:
-            raise DomainError(f"need {d} coefficients, got {len(expansion.coeffs)}")
-        return self._horner_rho(level, expansion.coeffs)
-
-    def _horner_rho(self, level: int, coeffs) -> TowerElement:
-        """sum_i coeffs[i] * rho_level^i by Horner's rule, each coefficient
-        embedded from its own level; coeffs is constant term first."""
-        acc = self.embed(coeffs[-1], level)
-        for c in reversed(coeffs[:-1]):
-            acc = self.add(self.mul_rho(acc), self.embed(c, level))
-        return acc
+        if len(coeffs) != d:
+            raise DomainError(f"need {d} coefficients, got {len(coeffs)}")
+        if any(c.level for c in coeffs):
+            raise DomainError("rho expansion coefficients must lie in K_0")
+        if level == 0:
+            return coeffs[0]
+        shift, digits = pack_profile([a for c in coeffs for a in c.coeffs])
+        if not digits:
+            return self.zero(level, shift)
+        out = [0] * self.phi(level)
+        for t in range(self.phi(0)):
+            lane = [c.coeffs[t].rep_mod(digits, shift) for c in coeffs]
+            for i, a in self._rho_digits(lane, digits, inverse=True):
+                out[i + d * t] = a
+        return self._unpack(level, (shift, digits, out))
 
     # -- inversion -----------------------------------------------------------------------
 

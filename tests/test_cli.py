@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -131,6 +132,26 @@ def test_bad_config_file_exits_2(capsys, tmp_path, config, message):
     conf = _write(tmp_path / "tower.json", config)
     err = rejected(capsys, "build", "--config", conf)
     assert err == f"tower: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "3", "--levels", "1000000"],
+        ["--p", "3", "--levels", "10000000"],
+        ["--p", "3", "--levels", "100000000"],
+        ["--p", "3", "--levels", "5000"],
+        ["--p", "1000000000000000003", "--levels", "1"],
+        ["--p", "2", "--s", "1000000000", "--levels", "1"],
+    ],
+)
+def test_huge_towers_exit_2_at_once(capsys, argv):
+    # the degree cap is checked before primality and without forming the
+    # degree, so each of these fails fast with one short line
+    start = time.perf_counter()
+    err = rejected(capsys, "build", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert err == "tower: top field degree exceeds the 4096 cap\n"
 
 
 def test_element_input_errors(capsys, tmp_path):

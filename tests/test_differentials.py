@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclodiff.errors import DomainError
 from cyclodiff.padic import PadicScalar
-from cyclodiff.tower import CyclotomicTower, TowerParams
+from cyclodiff.tower import CyclotomicTower, RhoExpansion, TowerParams
 from cyclodiff.differentials import (
+    BASES,
     LatticeBasis,
     OmegaClass,
     base_change_compare,
     commensurability_check,
-    coords_to_element,
     different,
     differential,
     divisibility_exponent,
@@ -27,6 +28,7 @@ from cyclodiff.differentials import (
     modulus_valuation,
     random_kernel_element,
 )
+from test_tower import SMALL, mul_rho_oracle, rho_sum_elements
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,15 @@ def test_kernel_is_sharp(t3):
 # ---------------------------------------------------------------------------
 
 
+def coords_to_element(tower, level, vec):
+    """The element whose mixed coordinates are vec:
+    sum_i (sum_j vec[i * phi(0) + j] rho_0^j) rho_level^i."""
+    d0, d = tower.phi(0), tower.degree(level)
+    assert len(vec) == d0 * d
+    coeffs = [tower.from_rho_power_coords(0, vec[i * d0 : (i + 1) * d0]) for i in range(d)]
+    return tower.from_rho_basis(RhoExpansion(level, tuple(coeffs)))
+
+
 def test_mixed_coords_roundtrip(t3, t2):
     for tower in (t3, t2):
         x = tower.random_integral(2, random.Random(9))
@@ -367,3 +378,157 @@ def test_modulus_valuation_table(t3, t2):
     assert modulus_valuation(t3, 2, "K0") == 2
     assert modulus_valuation(t3, 2, "Qp") == Fraction(5, 2)
     assert modulus_valuation(t2, 3, "Qp") == Fraction(4)
+
+
+# ---------------------------------------------------------------------------
+# sums over rho powers against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def differential_oracle(tower, x, base, level):
+    """The rep of dx by Horner's rule on the derivative coefficients, from a
+    zero at the working precision."""
+    x = tower.embed(x, level)
+    acc = tower.zero(level)
+    if base == "K0":
+        c = tower.to_rho_basis(x).coeffs
+        for i in range(len(c) - 1, 0, -1):
+            acc = mul_rho_oracle(tower, acc) + tower.embed(c[i] * i, level)
+    else:
+        a = tower.rho_power_coords(x)
+        for k in range(len(a) - 1, 0, -1):
+            acc = mul_rho_oracle(tower, acc) + tower.constant(level, a[k] * k)
+    return acc
+
+
+def different_qp_oracle(tower, level):
+    """g'(rho) over Q_p by Horner's rule on k g_k."""
+    g = tower.minimal_polynomial_qp(level)
+    acc = tower.zero(level)
+    for k in range(len(g) - 1, 0, -1):
+        acc = mul_rho_oracle(tower, acc) + tower.constant(level, k * g[k])
+    return acc
+
+
+def random_kernel_element_oracle(tower, level, rng, base):
+    """The random kernel element as a sum of tower products of the lattice
+    generators, drawing in the same order."""
+    ker = kernel_lattice(tower, level, base)
+    p, prec, d0 = tower.p, tower.prec, tower.phi(0)
+    acc = tower.zero(level)
+    if base == "K0":
+        for i in range(tower.degree(level)):
+            r = ker.exps[i]
+            for j in range(d0):
+                a = max(0, -((j - r) // d0))
+                c = rng.randrange(p ** (prec - a))
+                term = tower.embed(tower.rho_power(0, j), level) * (c * p ** a)
+                acc = acc + tower.mul(term, tower.rho_power(level, i))
+        return acc
+    for k in range(tower.phi(level)):
+        c = rng.randrange(p ** (prec - ker.exps[k]))
+        acc = acc + tower.rho_power(level, k) * (c * p ** ker.exps[k])
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(rho_sum_elements(), st.sampled_from(BASES), st.integers(0, 1))
+def test_differential_matches_horner_byte_for_byte(case, base, up):
+    # caps above the working precision are cut to it, as the zero that
+    # Horner's rule starts from cuts them
+    tower, x = case
+    level = min(tower.max_level, x.level + up)
+    got = differential(tower, x, base, level).rep
+    assert got.to_json() == differential_oracle(tower, x, base, level).to_json()
+    assert got.cap <= tower.prec
+
+
+def test_different_matches_horner_byte_for_byte(t3, t2):
+    for tower in (*SMALL.values(), t3, t2):
+        for level in range(tower.max_level + 1):
+            got = different(tower, level, "Qp").generator
+            assert got.to_json() == different_qp_oracle(tower, level).to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.sampled_from(BASES), st.integers(0, 2 ** 32), st.data())
+def test_random_kernel_element_matches_the_product_loops(p, base, seed, data):
+    tower = SMALL[p]
+    level = data.draw(st.integers(0, tower.max_level))
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        got = random_kernel_element(tower, level, rng, base)
+        want = random_kernel_element_oracle(tower, level, oracle_rng, base)
+        assert got.to_json() == want.to_json()
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_random_kernel_element_matches_the_product_loops_at_depth(t3, t2):
+    for tower in (t3, t2):
+        for base in BASES:
+            rng, oracle_rng = random.Random(base), random.Random(base)
+            got = random_kernel_element(tower, 3, rng, base)
+            want = random_kernel_element_oracle(tower, 3, oracle_rng, base)
+            assert got.to_json() == want.to_json()
+            assert rng.getstate() == oracle_rng.getstate()
+
+
+def flat_decompose_oracle(tower, x, n1):
+    """(parts, tail) as sums of tower products c * rho^j, skipping the
+    coefficients that are zero at their cap."""
+    n, p = x.level, tower.p
+    xc = tower.to_rho_basis(x).coeffs
+
+    def term(c, lev, j):
+        return tower.mul(tower.embed(c, lev), tower.rho_power(lev, j))
+
+    parts = []
+    for k in range(1, n - n1 + 1):
+        lev = n - k + 1
+        y = tower.zero(lev)
+        for j in range(1, p ** lev):
+            c = xc[p ** (k - 1) * j]
+            if j % p and not c.is_all_bottom:
+                y = y + term(c, lev, j)
+        for ell in range(p ** (lev - 1)):
+            c = xc[p ** k * ell]
+            if not c.is_all_bottom:
+                bridge = tower.rho_power(lev, p * ell) - tower.embed(
+                    tower.rho_power(lev - 1, ell), lev
+                )
+                y = y + tower.mul(tower.embed(c, lev), bridge)
+        parts.append(y)
+    tail = tower.zero(n1)
+    for ell in range(p ** n1):
+        c = xc[p ** (n - n1) * ell]
+        if not c.is_all_bottom:
+            tail = tail + term(c, n1, ell)
+    return parts, tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SMALL)),
+    st.integers(0, 2 ** 32),
+    st.sampled_from(("full", "truncated", "p-scaled")),
+    st.data(),
+)
+def test_flat_decompose_matches_the_product_loops(p, seed, kind, data):
+    tower = SMALL[p]
+    level = data.draw(st.integers(1, tower.max_level))
+    n1 = data.draw(st.integers(0, level - 1))
+    x = random_kernel_element(tower, level, random.Random(seed))
+    if kind == "truncated":
+        x = tower.truncate(x, data.draw(st.integers(1, tower.prec - 1)))
+    elif kind == "p-scaled":
+        x = tower.scale_p(x, data.draw(st.integers(1, 3)))
+    dec = flat_decompose(tower, x, n1)
+    parts, tail = flat_decompose_oracle(tower, x, n1)
+    # the loops skip a coefficient that is zero at its cap, the transform
+    # reads it: only then may the transform claim less than the loops
+    skipped = any(c.is_all_bottom for c in tower.to_rho_basis(x).coeffs)
+    for got, want in zip((*dec.parts, dec.tail), (*parts, tail)):
+        assert got == want
+        assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs))
+        if not skipped:
+            assert got.to_json() == want.to_json()

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+from cyclodiff import harness
 from cyclodiff.constants import estimate_constants
+from cyclodiff.differentials import FlatDecomposition
 from cyclodiff.errors import DomainError
 from cyclodiff.harness import DEFAULT_SAMPLES, SUITE_NAMES, run_all, run_suite
 from cyclodiff.reportio import canonical_dumps, validate_report
@@ -70,6 +74,20 @@ def test_fouvar_runs_at_sufficient_depth(t3, cons3):
     assert not rep["assertions"][0].get("skipped")
     witness = rep["assertions"][0]["witness"]
     assert witness["elements"] == witness["reconstructed"] == 4
+
+
+def test_fouvar_margin_floor_is_the_least_margin(t3, cons3, monkeypatch):
+    # two failing elements: the floor must keep the lower margin, -2, not
+    # the last one seen
+    margins = iter([(Fraction(-2),), (Fraction(-1),)])
+
+    def fake(tower, x, n1):
+        return FlatDecomposition(n1, (), tower.zero(n1), next(margins))
+
+    monkeypatch.setattr(harness, "flat_decompose", fake)
+    rep = run_suite(t3, "fouvar", seed=0, constants=cons3, samples=2)
+    assert not rep["passed"]
+    assert rep["assertions"][0]["witness"]["margin_floor"] == "-2"
 
 
 def test_unknown_suite_rejected(t3):

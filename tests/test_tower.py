@@ -18,7 +18,13 @@ from cyclodiff.errors import (
     ValuationOfZero,
 )
 from cyclodiff.padic import PadicScalar, vp
-from cyclodiff.tower import CyclotomicTower, TowerElement, TowerParams
+from cyclodiff.tower import (
+    CyclotomicTower,
+    GaloisElement,
+    RhoExpansion,
+    TowerElement,
+    TowerParams,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +75,6 @@ def test_cyclotomic_relation(tw):
     assert tw2.zeta(1, 4) == -tw2.one(1)
 
 
-def test_mul_matches_sparse_zeta(tw):
-    rng = random.Random(11)
-    for level in (1, 2, 3):
-        x = tw.random_integral(level, rng)
-        assert tw.mul(x, tw.zeta(level)) == tw.mul_zeta(x)
-        assert tw.mul(x, tw.uniformizer(level)) == tw.mul_rho(x)
-
-
 def test_ring_axioms_spot(tw):
     rng = random.Random(5)
     for level in (1, 2):
@@ -123,12 +121,19 @@ def test_galois_is_homomorphism(tw):
     assert tw.galois_apply(g, tw.zeta(2)) == tw.zeta(2, g.unit)
 
 
+def compose(g, h):
+    """g after h, as one automorphism of their level."""
+    assert g.level == h.level
+    expo = None if None in (g.exponent, h.exponent) else g.exponent + h.exponent
+    return GaloisElement(g.level, (g.unit * h.unit) % g.modulus, g.modulus, expo)
+
+
 def test_galois_group_structure(tw):
     g = tw.galois(3, 1)
     gi = g.inverse()
     x = tw.random_integral(3, random.Random(9))
     assert tw.galois_apply(gi, tw.galois_apply(g, x)) == x
-    assert tw.character(g.compose(g)) == 2
+    assert tw.character(compose(g, g)) == 2
     # order of the generator on K_n is p^n
     assert tw.galois(2, 9).unit == 1
     assert tw.galois(2, 3).unit != 1
@@ -340,6 +345,147 @@ def test_rho_power_coords_at_any_digit_count(p):
     assert sorted(tower._pascal_mod) == [8, 16, 32, 64]
 
 
+# Sums over rho powers as the loops that the inverse Pascal transform
+# replaced: x * rho by a shift of the zeta-coordinates, Horner's rule on it,
+# and the quotient recursion of the trace-dual basis.  Reports cannot see a
+# cap above the working precision, so the properties below compare element
+# bytes.
+
+
+def mul_rho_oracle(tower, x):
+    """x * rho in O(phi) scalar operations: x * zeta shifts the coordinates
+    and folds the top one by zeta^phi = -(1 + zeta^h + ... + zeta^((p-2)h))."""
+    h = tower.h(x.level)
+    wrap = x.coeffs[-1]
+    out = [-wrap, *x.coeffs[:-1]]
+    for i in range(1, tower.p - 1):
+        out[i * h] = out[i * h] - wrap
+    xz = TowerElement(tower, x.level, out)
+    return tower.add(x, -xz) if tower.p == 2 else tower.add(xz, -x)
+
+
+def horner_rho(tower, level, coeffs):
+    """sum_i coeffs[i] rho_level^i by Horner's rule, each coefficient
+    embedded from its own level."""
+    acc = tower.embed(coeffs[-1], level)
+    for c in reversed(coeffs[:-1]):
+        acc = tower.add(mul_rho_oracle(tower, acc), tower.embed(c, level))
+    return acc
+
+
+def dual_basis_oracle(tower, level):
+    """The trace-dual basis from the quotients q_(i-1) = q_i rho + g_i of the
+    minimal polynomial g by X - rho."""
+    d, g = tower.degree(level), tower.minimal_polynomial(level)
+    quots = [None] * d
+    quots[d - 1] = tower.one(level)
+    for i in range(d - 1, 0, -1):
+        quots[i - 1] = tower.add(mul_rho_oracle(tower, quots[i]), tower.embed(g[i], level))
+    gp_inv = tower.invert(tower.minpoly_derivative_at_rho(level, tower.prec + level))
+    return [tower.mul(q, gp_inv) for q in quots]
+
+
+def ragged_scalar(draw, p, top):
+    cap = draw(st.integers(1, top))
+    val = draw(st.integers(0, cap))
+    return PadicScalar.from_int(p, p ** val * draw(st.integers(1, p ** cap)), cap)
+
+
+KINDS = ("unit", "p-scaled", "truncated", "ragged", "zero", "cap-above-prec")
+
+
+@st.composite
+def rho_sum_elements(draw):
+    """(tower, x) over a small p = 2, 3 or 5 tower: a unit, a unit times a
+    power of p, a unit truncated below the working precision, an element
+    whose coordinates carry their own caps (some above the working
+    precision), zero, or an element known above the working precision."""
+    tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    p, prec = tower.p, tower.prec
+    level = draw(st.integers(0, tower.max_level))
+    phi = tower.phi(level)
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "ragged":
+        coeffs = [ragged_scalar(draw, p, prec + 2) for _ in range(phi)]
+        return tower, TowerElement(tower, level, coeffs)
+    cap = prec
+    if kind == "truncated":
+        cap = draw(st.integers(1, prec - 1))
+    elif kind == "zero":
+        cap = draw(st.integers(1, prec + 2))
+    elif kind == "cap-above-prec":
+        cap = prec + draw(st.integers(1, 4))
+    ints = draw(st.lists(st.integers(0, p ** cap - 1), min_size=phi, max_size=phi))
+    if kind == "zero":
+        ints = [0] * phi
+    elif kind != "cap-above-prec" and sum(ints) % p == 0:
+        ints[0] += 1  # the residue of x is the sum of its coordinates mod p
+    x = tower.from_int_coeffs(level, ints, cap)
+    if kind == "p-scaled":
+        x = tower.scale_p(x, draw(st.integers(1, 3)))
+    return tower, x
+
+
+@settings(max_examples=120, deadline=None)
+@given(rho_sum_elements(), st.data())
+def test_from_rho_power_coords_matches_horner(case, data):
+    tower, x = case
+    level = x.level
+    coords = tower.rho_power_coords(x)
+    back = tower.from_rho_power_coords(level, coords)
+    assert back == x
+    assert all(b.prec <= c.prec for b, c in zip(back.coeffs, x.coeffs))
+    if len({c.prec for c in x.coeffs}) == 1:
+        assert back.to_json() == x.to_json()
+    # ragged coordinates, some above the working precision, are read at their
+    # least cap, which is also where Horner's rule on constants lands
+    ragged = [ragged_scalar(data.draw, tower.p, tower.prec + 3) for _ in coords]
+    for cs in (coords, ragged):
+        want = horner_rho(tower, level, [tower.constant(level, c) for c in cs])
+        assert tower.from_rho_power_coords(level, cs).to_json() == want.to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(rho_sum_elements(), st.data())
+def test_from_rho_basis_matches_horner(case, data):
+    tower, x = case
+    assume(x.level > 0)
+    exp = tower.to_rho_basis(x)
+    got = tower.from_rho_basis(exp)
+    assert got == x
+    # coefficients of one cap each: byte for byte
+    assert got.to_json() == horner_rho(tower, x.level, exp.coeffs).to_json()
+    # ragged coefficients are read at their least cap, where Horner's rule
+    # may keep more on some coordinates: equal at shared precision, no claim
+    # above the oracle's
+    p, phi0 = tower.p, tower.phi(0)
+    ragged = [
+        TowerElement(tower, 0, [ragged_scalar(data.draw, p, tower.prec + 3) for _ in range(phi0)])
+        for _ in exp.coeffs
+    ]
+    got = tower.from_rho_basis(RhoExpansion(x.level, tuple(ragged)))
+    want = horner_rho(tower, x.level, ragged)
+    assert got == want
+    assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs))
+
+
+def test_from_rho_basis_rejects_bad_coefficients(tw):
+    with pytest.raises(DomainError):
+        tw.from_rho_basis(RhoExpansion(1, (tw.one(0),) * 2))
+    with pytest.raises(DomainError):
+        tw.from_rho_basis(RhoExpansion(1, (tw.one(0), tw.one(0), tw.one(1))))
+    with pytest.raises(DomainError):
+        tw.from_rho_power_coords(1, tw.rho_power_coords(tw.one(1))[:-1])
+
+
+def test_dual_basis_matches_the_quotient_recursion(tw2):
+    for tower in (*SMALL.values(), tw2):
+        fresh = CyclotomicTower(tower.params)
+        for level in range(1, tower.max_level + 1):
+            got = [b.to_json() for b in fresh._dual_data(level)]
+            assert got == [b.to_json() for b in dual_basis_oracle(tower, level)]
+
+
 def test_truncate(tw):
     x = tw.random_unit(1, random.Random(67))
     assert tw.truncate(x, x.cap) is x
@@ -394,7 +540,7 @@ def test_minimal_polynomial_certificates(tw, tw2):
             for c in g[1:-1]:
                 if not c.is_all_bottom:
                     assert t.valuation(c) >= 1
-            assert t.minpoly_eval_at_rho(level).is_all_bottom
+            assert horner_rho(t, level, g).is_all_bottom
 
 
 def test_minimal_polynomial_matches_conjugate_product(tw):
@@ -427,7 +573,7 @@ def test_minimal_polynomial_qp(tw, tw2):
             # evaluate at rho by Horner
             acc = t.constant(level, coeffs[-1])
             for c in reversed(coeffs[:-1]):
-                acc = t.mul_rho(acc) + t.constant(level, c)
+                acc = t.mul(acc, t.uniformizer(level)) + t.constant(level, c)
             assert acc.is_all_bottom
 
 
