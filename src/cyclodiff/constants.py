@@ -148,15 +148,12 @@ def one_minus_galois_matrix(
     pos = {j: r for r, j in enumerate(indices)}
     g = tower.layer_generator(n, m)
     q = tower.q(m)
-    phi = tower.phi(m)
-    plan = tower._plan(m)
     cols = []
     for j in indices:
-        dense = [0] * phi
-        dense[j] = 1
-        t = (g.unit * j) % q
-        for slot, sign in plan[t]:
-            dense[slot] -= sign
+        moved = [0] * q  # e_j - zeta^(unit j), folded to e_j - g(e_j)
+        moved[j] += 1
+        moved[g.unit * j % q] -= 1
+        dense = tower.fold(m, moved)
         col = [0] * len(indices)
         for slot, entry in enumerate(dense):
             if entry == 0:

@@ -47,37 +47,6 @@ from .padic import vp
 from .reportio import envelope
 from .tower import CyclotomicTower
 
-SUITE_NAMES = (
-    "tatediff",
-    "fonemb",
-    "rnbdd",
-    "gaminv",
-    "rhoval",
-    "theorem-b",
-    "fouvar",
-    "nopdiv",
-    "base-change",
-    "rnk2",
-    "diffvec",
-    "theorem-a-shadow",
-)
-
-# main sample knob per suite; None means the suite is exhaustive
-DEFAULT_SAMPLES = {
-    "tatediff": None,
-    "fonemb": 60,
-    "rnbdd": 240,
-    "gaminv": 6,
-    "rhoval": 27,
-    "theorem-b": None,
-    "fouvar": 50,
-    "nopdiv": 20,
-    "base-change": 4,
-    "rnk2": 100,
-    "diffvec": 3,
-    "theorem-a-shadow": None,
-}
-
 # sample count used when a suite needs the constants report and the caller
 # did not hand one in; fixed so reports stay reproducible
 CONSTANTS_SAMPLES = 200
@@ -105,6 +74,35 @@ def _val(tower: CyclotomicTower, x) -> Optional[Fraction]:
 
 def _frozen(fr) -> Optional[str]:
     return None if fr is None else str(Fraction(fr))
+
+
+class _Margins:
+    """Running tally of a bound's margins: how many were checked, how many
+    fell below zero, and the least one."""
+
+    def __init__(self):
+        self.checked = 0
+        self.violations = 0
+        self.worst: Optional[Fraction] = None
+
+    def add(self, margin: Fraction) -> None:
+        self.checked += 1
+        if self.worst is None or margin < self.worst:
+            self.worst = margin
+        if margin < 0:
+            self.violations += 1
+
+    @property
+    def ok(self) -> bool:
+        return self.checked > 0 and self.violations == 0
+
+    def witness(self, **extra) -> dict:
+        return {
+            "checked": self.checked,
+            "violations": self.violations,
+            "worst_margin": _frozen(self.worst),
+            **extra,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +201,8 @@ def _run_rnbdd(tower, seed, constants, samples):
     )
     cells = norm_cells(tower)
     per_cell = max(1, samples // max(1, len(cells)))
-    checked = 0
-    violations = 0
+    tally = _Margins()
     mask_mismatches = 0
-    worst: Optional[Fraction] = None
     for n, k in cells:
         m = n + k
         rng = cell_rng(seed, "rnbdd", n, m)
@@ -226,23 +222,13 @@ def _run_rnbdd(tower, seed, constants, samples):
                 vi = _val(tower, image)
                 if vi is None:
                     continue  # projected to zero: no constraint
-                margin = vi - (floor - c2)
-                checked += 1
-                if worst is None or margin < worst:
-                    worst = margin
-                if margin < 0:
-                    violations += 1
+                tally.add(vi - (floor - c2))
     out.append(
         _assertion(
             "rnbdd",
             "projector-bound-on-samples",
-            checked > 0 and violations == 0 and mask_mismatches == 0,
-            {
-                "checked": checked,
-                "violations": violations,
-                "mask_mismatches": mask_mismatches,
-                "worst_margin": _frozen(worst),
-            },
+            tally.ok and mask_mismatches == 0,
+            tally.witness(mask_mismatches=mask_mismatches),
         )
     )
     return out
@@ -262,9 +248,7 @@ def _run_gaminv(tower, seed, constants, samples):
             },
         )
     )
-    checked = 0
-    violations = 0
-    worst: Optional[Fraction] = None
+    tally = _Margins()
     for n, k in norm_cells(tower):
         m = n + k
         idx = perp_basis_indices(tower, m)
@@ -288,22 +272,10 @@ def _run_gaminv(tower, seed, constants, samples):
             vm = _val(tower, moved)
             if vm is None:
                 continue
-            margin = vx - (vm - c3)
-            checked += 1
-            if worst is None or margin < worst:
-                worst = margin
-            if margin < 0:
-                violations += 1
+            tally.add(vx - (vm - c3))
     out.append(
         _assertion(
-            "gaminv",
-            "inversion-bound-on-layer-kernels",
-            checked > 0 and violations == 0,
-            {
-                "checked": checked,
-                "violations": violations,
-                "worst_margin": _frozen(worst),
-            },
+            "gaminv", "inversion-bound-on-layer-kernels", tally.ok, tally.witness()
         )
     )
     return out
@@ -313,9 +285,7 @@ def _run_rhoval(tower, seed, constants, samples):
     out = []
     k_cap = samples
     m_c = constants.m_c
-    checked = 0
-    violations = 0
-    worst: Optional[Fraction] = None
+    tally = _Margins()
     base_value: Optional[Fraction] = None
     for n in range(tower.max_level):
         rho_up = tower.uniformizer(n + 1)
@@ -327,25 +297,15 @@ def _run_rhoval(tower, seed, constants, samples):
             if v is None:
                 continue  # agreement below working precision
             floor = Fraction(vp(k, tower.p)) - m_c
-            margin = v - floor
-            checked += 1
+            tally.add(v - floor)
             if n == 0 and k == 1:
                 base_value = v
-            if worst is None or margin < worst:
-                worst = margin
-            if margin < 0:
-                violations += 1
     out.append(
         _assertion(
             "rhoval",
             "uniformizer-power-compatibility",
-            checked > 0 and violations == 0,
-            {
-                "checked": checked,
-                "violations": violations,
-                "worst_margin": _frozen(worst),
-                "k_cap": k_cap,
-            },
+            tally.ok,
+            tally.witness(k_cap=k_cap),
         )
     )
     if tower.p == 3 and tower.s == 1:
@@ -708,20 +668,23 @@ def _run_theorem_a_shadow(tower, seed, constants, samples):
     return out
 
 
-_RUNNERS = {
-    "tatediff": _run_tatediff,
-    "fonemb": _run_fonemb,
-    "rnbdd": _run_rnbdd,
-    "gaminv": _run_gaminv,
-    "rhoval": _run_rhoval,
-    "theorem-b": _run_theorem_b,
-    "fouvar": _run_fouvar,
-    "nopdiv": _run_nopdiv,
-    "base-change": _run_base_change,
-    "rnk2": _run_rnk2,
-    "diffvec": _run_diffvec,
-    "theorem-a-shadow": _run_theorem_a_shadow,
+# suite name -> (runner, main sample knob), in report order; a knob of None
+# means the suite is exhaustive
+SUITES = {
+    "tatediff": (_run_tatediff, None),
+    "fonemb": (_run_fonemb, 60),
+    "rnbdd": (_run_rnbdd, 240),
+    "gaminv": (_run_gaminv, 6),
+    "rhoval": (_run_rhoval, 27),
+    "theorem-b": (_run_theorem_b, None),
+    "fouvar": (_run_fouvar, 50),
+    "nopdiv": (_run_nopdiv, 20),
+    "base-change": (_run_base_change, 4),
+    "rnk2": (_run_rnk2, 100),
+    "diffvec": (_run_diffvec, 3),
+    "theorem-a-shadow": (_run_theorem_a_shadow, None),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def check_sample_count(samples: Optional[int]) -> None:
@@ -741,14 +704,15 @@ def run_suite(
     constants: Optional[ConstantsReport] = None,
     samples: Optional[int] = None,
 ) -> dict:
-    if name not in _RUNNERS:
+    if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     check_sample_count(samples)
     if constants is None:
         constants = estimate_constants(tower, seed=seed, samples=CONSTANTS_SAMPLES)
+    runner, default_samples = SUITES[name]
     if samples is None:
-        samples = DEFAULT_SAMPLES[name]
-    assertions = _RUNNERS[name](tower, seed, constants, samples)
+        samples = default_samples
+    assertions = runner(tower, seed, constants, samples)
     return envelope(
         tower,
         "suite",

@@ -6,10 +6,13 @@ primitive p^(n+s)-th root of unity, s = 1 for odd p and s = 2 for p = 2
 
 Elements of K_n are stored by their coordinates in the power basis
 1, zeta, ..., zeta^(phi-1) of the ring of integers, phi = phi(p^(n+s)) =
-(p-1) p^(n+s-1), with `PadicScalar` coordinates.  Reduction uses the single
-cyclotomic relation zeta^phi = -(1 + zeta^h + ... + zeta^((p-2)h)),
-h = p^(n+s-1), so products of basis monomials fold back in one step with
-coefficients +-1.
+(p-1) p^(n+s-1), with `PadicScalar` coordinates.  Reduction has one home,
+`fold`: on integers indexed by zeta-exponent t < 2q, q = p^(n+s), it applies
+zeta^q = 1 (slot t adds into slot t - q) and then the cyclotomic relation
+zeta^phi = -(1 + zeta^h + ... + zeta^((p-2)h)), h = p^(n+s-1) (the h slots
+from phi up are subtracted from each of the p - 1 blocks of h below), with
+slice operations.  The product kernel, the Galois loop, `zeta` and the c_3
+matrices of `constants` all reduce through it.
 
 The distinguished uniformizer chain is rho_n = zeta_n - 1 for odd p and
 rho_n = 1 - zeta_n for p = 2; both satisfy N_{K_(n+1)/K_n}(rho_(n+1)) = rho_n
@@ -31,7 +34,7 @@ triple (shift, digits, ints): every coordinate is p^shift (ints[j] +
 O(p^digits)), with the least valuation and the least cap over the coordinates
 (`pack_profile`); digits = 0 is zero at cap shift.  One kernel, `_product`,
 multiplies two triples as one big integer product (Kronecker substitution),
-folds it by the cyclotomic relation and normalises: it reduces mod p^digits
+folds its slots and normalises: it reduces mod p^digits
 and moves the common power of p into the shift, so its output is exactly the
 packed form of the product element.  `mul` is one kernel call between
 `_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on triples
@@ -55,6 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import gcd
+from operator import add, sub
 from typing import Optional
 
 from .errors import (
@@ -223,7 +227,6 @@ class CyclotomicTower:
         self.s = params.s
         self.max_level = params.max_level
         self.prec = params.prec
-        self._plans = {}
         self._pascal = [[1]]
         self._pascal_mod = {}
         self._dual_basis = {}
@@ -261,24 +264,30 @@ class CyclotomicTower:
             "top_degree": self.phi(self.max_level),
         }
 
-    # -- caches ------------------------------------------------------------
+    # -- the cyclotomic relation ---------------------------------------------
 
-    def _plan(self, level: int):
-        """plan[t] for 0 <= t < 2q: list of (slot, sign) rewriting zeta^t in
-        the power basis."""
-        plan = self._plans.get(level)
-        if plan is None:
-            q, h, phi = self.q(level), self.h(level), self.phi(level)
-            plan = []
-            for t in range(2 * q):
-                tm = t % q
-                if tm < phi:
-                    plan.append(((tm, 1),))
-                else:
-                    r = tm - phi
-                    plan.append(tuple((r + i * h, -1) for i in range(self.p - 1)))
-            self._plans[level] = plan
-        return plan
+    def fold(self, level: int, ints) -> list:
+        """The power-basis coordinates of sum_t ints[t] zeta^t, t < 2q: the
+        one home of the cyclotomic relation.  zeta^q = 1 adds slot t into slot
+        t - q; then zeta^phi = -(1 + zeta^h + ... + zeta^((p-2)h)) subtracts
+        the h slots from phi up from each of the p - 1 blocks of h below."""
+        h = self.h(level)
+        phi = (self.p - 1) * h
+        q = phi + h
+        if len(ints) > 2 * q:
+            raise DomainError(f"fold takes at most {2 * q} slots, got {len(ints)}")
+        out = list(ints[:q])
+        if len(ints) > q:
+            out[: len(ints) - q] = map(add, out, ints[q:])
+        else:
+            out += [0] * (q - len(ints))  # at p = 2 a product stops below q
+        top = out[phi:]
+        for lo in range(0, phi, h):
+            out[lo : lo + h] = map(sub, out[lo : lo + h], top)
+        del out[phi:]
+        return out
+
+    # -- caches ------------------------------------------------------------
 
     def _binomial_row(self, n: int):
         while len(self._pascal) <= n:
@@ -329,16 +338,10 @@ class CyclotomicTower:
 
     def zeta(self, level: int, exponent: int = 1, prec: Optional[int] = None) -> TowerElement:
         self._check_level(level)
-        prec = self.prec if prec is None else prec
-        phi = self.phi(level)
-        bot = PadicScalar.bottom(self.p, prec)
-        coeffs = [bot] * phi
-        acc = {}
-        for slot, sign in self._plan(level)[exponent % self.q(level)]:
-            acc[slot] = acc.get(slot, 0) + sign
-        for slot, c in acc.items():
-            coeffs[slot] = PadicScalar.from_int(self.p, c, prec)
-        return TowerElement(self, level, coeffs)
+        q = self.q(level)
+        one_hot = [0] * q
+        one_hot[exponent % q] = 1
+        return self.from_int_coeffs(level, self.fold(level, one_hot), prec)
 
     def from_int_coeffs(self, level: int, ints, prec: Optional[int] = None) -> TowerElement:
         self._check_level(level)
@@ -464,14 +467,7 @@ class CyclotomicTower:
         nslots = 2 * phi - 1
         zb = z.to_bytes(nslots * w, "little")
         zs = [int.from_bytes(zb[t : t + w], "little") for t in range(0, nslots * w, w)]
-        # zeta^t is its own basis vector for t < phi; fold the rest by the plan
-        acc, plan = zs[:phi], self._plan(level)
-        for t in range(phi, nslots):
-            zt = zs[t]
-            if zt:
-                for slot, sign in plan[t]:
-                    acc[slot] += zt if sign > 0 else -zt
-        return self._normalise(sa + sb, min(da, db), acc)
+        return self._normalise(sa + sb, min(da, db), self.fold(level, zs))
 
     def mul(self, x: TowerElement, y) -> TowerElement:
         if isinstance(y, (int, PadicScalar)):
@@ -562,13 +558,11 @@ class CyclotomicTower:
         if unit == 1:
             return packed
         shift, digits, ints = packed
-        q, plan = self.q(level), self._plan(level)
-        out = [0] * len(ints)
+        q = self.q(level)
+        moved = [0] * q
         for j, a in enumerate(ints):
-            if a:
-                for slot, sign in plan[(unit * j) % q]:
-                    out[slot] += a if sign > 0 else -a
-        return self._normalise(shift, digits, out)
+            moved[unit * j % q] = a
+        return self._normalise(shift, digits, self.fold(level, moved))
 
     def galois_apply(self, g: GaloisElement, x: TowerElement) -> TowerElement:
         """g(x), read at the least cap of x's coordinates."""

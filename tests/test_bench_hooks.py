@@ -6,16 +6,22 @@ installs every span and counter hook, checks that a few traced calls are
 recorded, and puts the originals back.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cyclodiff
 import cyclodiff.cli  # noqa: F401  (the hooks wrap cli.main)
 from cyclodiff.padic import PadicScalar
 from cyclodiff.tower import CyclotomicTower, TowerParams
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import run as bench_run  # noqa: E402
 from layers import install_counts, install_spans  # noqa: E402
 from spans import Counter, Patcher, Tracer, descendants_per_call  # noqa: E402
 
@@ -90,3 +96,22 @@ def test_every_traced_name_exists_and_is_restored():
     # tower.invert.muls_per_call counts the products nested in invert
     assert descendants_per_call(tracer.spans, "tower.invert", "tower.mul") >= 2
     assert counter.counts["padic.raw"] > 0
+
+
+@pytest.mark.parametrize("workload", ["series-p5", "verify-p2-sweep"])
+def test_tiny_traced_run_records_every_metric_its_layer_rows_expect(workload):
+    # A call path moved off a traced name leaves a counter at zero on a
+    # workload that a layer row of workloads.json lists under exercised_by,
+    # and the full-size `--trace 1` run then prints "correct": false.  The
+    # tiny tower has no phi-500 products, so only the full-size product tags
+    # may read zero here.
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", "0", "--seconds", "1", "--trace", "1", "--tiny"]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout.splitlines()[-1])
+    assert line["correct"], done.stdout
+    values = {name: metric["value"] for name, metric in line["metrics"].items()}
+    layers = bench_run.load_json(str(ROOT / "perfbench" / "workloads.json"))["layers"]
+    missing = bench_run.unexercised(values, layers, workload)
+    assert all(name.startswith("tower.mul.p50_us.phi") for name in missing), missing

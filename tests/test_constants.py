@@ -116,6 +116,34 @@ def test_one_minus_galois_matrix_frozen(t3):
     assert galois_defect_cell(t3, 0, 1) == 1
 
 
+def one_minus_galois_oracle(tower, n, m):
+    """The columns of 1 - g_n on the perp basis of level m, each image
+    g_n(zeta^j) rewritten by its row of the cyclotomic relation."""
+    q, h, phi = tower.q(m), tower.h(m), tower.phi(m)
+    indices = perp_basis_indices(tower, m)
+    g = tower.layer_generator(n, m)
+    cols = []
+    for j in indices:
+        dense = [0] * phi
+        dense[j] = 1
+        t = g.unit * j % q
+        if t < phi:
+            dense[t] -= 1
+        else:
+            for i in range(tower.p - 1):
+                dense[t - phi + i * h] += 1
+        assert all(dense[slot] == 0 for slot in range(phi) if slot not in indices)
+        cols.append([dense[slot] for slot in indices])
+    return indices, cols
+
+
+@pytest.mark.parametrize("p, s, levels", [(2, 2, 3), (3, 1, 3), (5, 1, 2)])
+def test_one_minus_galois_matrix_matches_the_plan_rows(p, s, levels):
+    tower = CyclotomicTower(TowerParams(p=p, s=s, max_level=levels, prec=12))
+    for n, k in norm_cells(tower):
+        assert one_minus_galois_matrix(tower, n, n + k) == one_minus_galois_oracle(tower, n, n + k)
+
+
 def test_echelon_smith_examples():
     def divisors(cols, digits):
         return [v for _, v in echelon(3, cols, digits)[1]]

@@ -6,7 +6,7 @@ from cyclodiff import harness
 from cyclodiff.constants import estimate_constants
 from cyclodiff.differentials import FlatDecomposition
 from cyclodiff.errors import DomainError
-from cyclodiff.harness import DEFAULT_SAMPLES, SUITE_NAMES, run_all, run_suite
+from cyclodiff.harness import SUITE_NAMES, SUITES, check_sample_count, run_all, run_suite
 from cyclodiff.reportio import canonical_dumps, validate_report
 from cyclodiff.tower import CyclotomicTower, TowerParams
 
@@ -121,7 +121,26 @@ def test_reports_are_deterministic(t3, cons3):
 
 
 def test_default_sample_table_covers_all_suites():
-    assert set(DEFAULT_SAMPLES) == set(SUITE_NAMES)
+    # one table holds every suite's runner and default sample count, and each
+    # default is one that run_suite itself would accept
+    for runner, default in SUITES.values():
+        assert callable(runner)
+        check_sample_count(default)
+
+
+def test_margin_tally_counts_violations_and_keeps_the_least_margin():
+    tally = harness._Margins()
+    assert not tally.ok
+    assert tally.witness() == {"checked": 0, "violations": 0, "worst_margin": None}
+    for margin in (Fraction(2), Fraction(-1, 3), Fraction(0), Fraction(-1, 6)):
+        tally.add(margin)
+    assert not tally.ok
+    assert tally.witness(k_cap=4) == {
+        "checked": 4,
+        "violations": 2,
+        "worst_margin": "-1/3",
+        "k_cap": 4,
+    }
 
 
 def test_witness_margins_nonnegative(t3, cons3):

@@ -5,7 +5,7 @@ polynomials, inversion."""
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -687,14 +687,39 @@ def test_invert_raises_on_a_wrong_newton_product():
     assert fired
 
 
+@lru_cache(maxsize=None)
+def plan(tower, level):
+    """plan[t] for 0 <= t < 2q: the (slot, sign) pairs rewriting zeta^t in the
+    power basis, row by row from the cyclotomic relation: the oracle for the
+    tower's slice fold."""
+    q, h, phi = tower.q(level), tower.h(level), tower.phi(level)
+    rows = []
+    for t in range(2 * q):
+        tm = t % q
+        if tm < phi:
+            rows.append(((tm, 1),))
+        else:
+            rows.append(tuple((tm - phi + i * h, -1) for i in range(tower.p - 1)))
+    return rows
+
+
+def plan_fold(tower, level, ints):
+    """sum_t ints[t] zeta^t in the power basis, one plan row per slot."""
+    rows, acc = plan(tower, level), [0] * tower.phi(level)
+    for t, a in enumerate(ints):
+        for slot, sign in rows[t]:
+            acc[slot] += sign * a
+    return acc
+
+
 def schoolbook(tower, x, y):
-    """x * y by all phi^2 coordinate products, each folded by _plan."""
-    plan = tower._plan(x.level)
+    """x * y by all phi^2 coordinate products, each folded by its plan row."""
+    plan_rows = plan(tower, x.level)
     acc = [None] * tower.phi(x.level)
     for i, a in enumerate(x.coeffs):
         for j, b in enumerate(y.coeffs):
             term = a * b
-            for slot, sign in plan[i + j]:
+            for slot, sign in plan_rows[i + j]:
                 signed = term if sign > 0 else -term
                 acc[slot] = signed if acc[slot] is None else acc[slot] + signed
     return TowerElement(tower, x.level, acc)
@@ -708,6 +733,52 @@ def test_mul_matches_the_schoolbook_product(case):
     assert got == want
     # the packed product never claims a digit the exact one does not know
     assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs))
+
+
+FOLD_TOWERS = {**SMALL, 7: CyclotomicTower(TowerParams(p=7, s=1, max_level=1, prec=6))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FOLD_TOWERS)), st.data())
+def test_the_fold_matches_the_plan_rows(p, data):
+    # the product kernel, the Galois loop and zeta give the plan-folded
+    # integers, all-maximal squares included
+    tower = FOLD_TOWERS[p]
+    level = data.draw(st.integers(0, tower.max_level))
+    phi, q = tower.phi(level), tower.q(level)
+    digits = data.draw(st.integers(1, tower.prec))
+    kind = data.draw(st.sampled_from(["pair", "square", "maximal"]))
+    ints = st.lists(st.integers(0, p ** digits - 1), min_size=phi, max_size=phi)
+    if kind == "maximal":
+        xa = xb = [p ** digits - 1] * phi
+    else:
+        xa = data.draw(ints)
+        xb = xa if kind == "square" else data.draw(ints)
+    a = (data.draw(st.integers(0, 3)), digits, xa)
+    b = a if kind != "pair" else (data.draw(st.integers(0, 3)), digits, xb)
+    slots = [0] * (2 * phi - 1)
+    for i, u in enumerate(xa):
+        for j, v in enumerate(xb):
+            slots[i + j] += u * v
+    assert tower.fold(level, slots) == plan_fold(tower, level, slots)
+    want = tower._normalise(a[0] + b[0], digits, plan_fold(tower, level, slots))
+    assert tower._product(level, a, b) == want
+    unit = data.draw(st.sampled_from([u for u in range(2, q) if u % p]))
+    acc = [0] * phi
+    for j, u in enumerate(xa):
+        for slot, sign in plan(tower, level)[unit * j % q]:
+            acc[slot] += sign * u
+    assert tower._act(level, unit, a) == tower._normalise(a[0], digits, acc)
+    k = data.draw(st.integers(-q, 2 * q - 1))
+    one_hot = [0] * (2 * q)
+    one_hot[k % q] = 1
+    want = tower.from_int_coeffs(level, plan_fold(tower, level, one_hot))
+    assert tower.zeta(level, k).to_json() == want.to_json()
+
+
+def test_fold_rejects_more_than_2q_slots(tw):
+    with pytest.raises(DomainError):
+        tw.fold(1, [0] * (2 * tw.q(1) + 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -740,12 +811,12 @@ def test_norm_is_multiplicative(case, data):
 
 
 def galois_oracle(tower, g, x):
-    q, plan = tower.q(x.level), tower._plan(x.level)
+    q, plan_rows = tower.q(x.level), plan(tower, x.level)
     out = [None] * tower.phi(x.level)
     for j, c in enumerate(x.coeffs):
         if c.is_bottom:
             continue
-        for slot, sign in plan[(g.unit * j) % q]:
+        for slot, sign in plan_rows[(g.unit * j) % q]:
             term = c if sign > 0 else -c
             out[slot] = term if out[slot] is None else out[slot] + term
     bot = PadicScalar.bottom(tower.p, x.cap)
