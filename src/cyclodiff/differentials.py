@@ -7,10 +7,13 @@ ideal.  Everything here is phrased through that presentation:
 * `differential(x)` produces the class u'(rho) d(rho) from the coefficient
   expansion of x over the chosen base;
 * `different` returns the generator g'(rho_n) of the different together with
-  its exact valuation (n over K_0, n + s - 1/(p-1) over Q_p);
+  its exact valuation, `modulus_valuation` (n over K_0, n + s - 1/(p-1) over
+  Q_p);
 * lattices live in one fixed coordinate system, the Z_p-basis
   rho_0^j * rho_n^i of O_{K_n} (j < phi(0), i < p^n), where the kernel of d
-  and the layered sums sum_m p^m O_{K_m} can be compared head to head.
+  and the layered sums sum_m p^m O_{K_m} can be compared head to head; the
+  columns of each O_{K_m} there (`sublevel_columns`) are the tower's Pascal
+  transform of rho_m^i, with no products.
 
 Every elimination over Z_p runs through one integer kernel, `echelon`:
 valuation-greedy column reduction of plain ints mod p^N.  Because Z_p is a
@@ -83,16 +86,14 @@ class OmegaClass:
 
 
 def different(tower: CyclotomicTower, level: int, base: str = "K0") -> DifferentData:
-    _check_base(base)
+    expected = modulus_valuation(tower, level, base)
     if base == "K0":
         gen = tower.minpoly_derivative_at_rho(level)
-        expected = Fraction(level)
     else:
         g, p, prec = tower.minimal_polynomial_qp(level), tower.p, tower.prec
         gen = tower.from_rho_power_coords(
             level, [PadicScalar.from_int(p, k * g[k], prec) for k in range(1, len(g))]
         )
-        expected = Fraction(level + tower.s) - Fraction(1, tower.p - 1)
     got = tower.valuation(gen)
     if got != expected:
         raise DomainError(
@@ -180,14 +181,20 @@ def mixed_coords(tower: CyclotomicTower, x: TowerElement) -> List[PadicScalar]:
     return out
 
 
-def mixed_basis_elements(tower: CyclotomicTower, level: int) -> List[TowerElement]:
-    d0 = tower.phi(0)
-    out = []
-    for i in range(tower.degree(level)):
-        ri = tower.rho_power(level, i)
+def sublevel_columns(tower: CyclotomicTower, m: int, n: int) -> List[List[PadicScalar]]:
+    """The Z_p-basis rho_0^j rho_m^i of O_{K_m} (i outer, j inner) in level-n
+    mixed coordinates, m <= n.  rho_m = s((1 + s rho_n)^(p^(n-m)) - 1), so
+    rho_m^i is an integer polynomial in rho_n of degree below p^n, and its Q_p
+    rho-coordinate k fills row k * phi(0) + j; every other entry is bottom at
+    that coordinate's cap."""
+    d0, d = tower.phi(0), tower.degree(n)
+    cols = []
+    for i in range(tower.degree(m)):
+        coords = tower.rho_power_coords(tower.embed(tower.rho_power(m, i), n))[:d]
+        bottoms = [PadicScalar.bottom(tower.p, c.prec) for c in coords]
         for j in range(d0):
-            out.append(tower.mul(tower.embed(tower.rho_power(0, j), level), ri))
-    return out
+            cols.append([c if r == j else b for c, b in zip(coords, bottoms) for r in range(d0)])
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +376,20 @@ def kernel_lattice(tower: CyclotomicTower, level: int, base: str = "K0") -> Kern
     return KernelLattice(level, base, tuple(exps))
 
 
+def _k0_coeffs_in_kernel(tower: CyclotomicTower, ker: KernelLattice, coeffs) -> bool:
+    """Whether the K_0-coefficients of an element meet the kernel bounds."""
+    e0 = tower.phi(0)
+    return all(
+        c.is_all_bottom or tower.valuation(c) >= Fraction(r, e0)
+        for c, r in zip(coeffs, ker.exps)
+    )
+
+
 def kernel_contains(tower: CyclotomicTower, ker: KernelLattice, x: TowerElement) -> bool:
     if x.level != ker.level:
         raise DomainError("element level does not match the kernel lattice")
-    e0 = tower.phi(0)
     if ker.base == "K0":
-        for i, c in enumerate(tower.to_rho_basis(x).coeffs):
-            if c.is_all_bottom:
-                continue
-            if tower.valuation(c) < Fraction(ker.exps[i], e0):
-                return False
-        return True
+        return _k0_coeffs_in_kernel(tower, ker, tower.to_rho_basis(x).coeffs)
     for k, c in enumerate(tower.rho_power_coords(x)):
         if c.is_bottom:
             continue
@@ -412,12 +422,9 @@ def kernel_mixed_columns(tower: CyclotomicTower, ker: KernelLattice):
 def layer_sum_columns(tower: CyclotomicTower, n: int):
     """Generators of sum_{m<=n} p^m O_{K_m} in level-n mixed coordinates."""
     tower._check_level(n)
-    cols = []
-    for m in range(n + 1):
-        for b in mixed_basis_elements(tower, m):
-            emb = tower.embed(b, n)
-            cols.append(mixed_coords(tower, tower.scale_p(emb, m)))
-    return cols
+    return [
+        [e.shift(m) for e in col] for m in range(n + 1) for col in sublevel_columns(tower, m, n)
+    ]
 
 
 def random_kernel_element(tower: CyclotomicTower, level: int, rng, base: str = "K0") -> TowerElement:
@@ -475,9 +482,7 @@ def divisibility_exponent(
                 best = cand
         return best
     ker_cols = kernel_mixed_columns(tower, kernel_lattice(tower, lev, "K0"))
-    base_cols = [
-        mixed_coords(tower, tower.embed(b, lev)) for b in mixed_basis_elements(tower, m)
-    ]
+    base_cols = sublevel_columns(tower, m, lev)
     xvec = mixed_coords(tower, x)
     dim = len(xvec)
     cap = (m + 8) if i_cap is None else i_cap
@@ -511,13 +516,12 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
     n = x.level
     if n <= n1:
         raise DomainError(f"need level(x) > n1, got level {n} and n1 {n1}")
-    ker = kernel_lattice(tower, n, "K0")
-    if not kernel_contains(tower, ker, x):
-        raise DomainError("decomposition needs dx = 0 (x in the kernel lattice)")
     # x = sum_i c_i rho_n^i.  layers[k] = sum_j c_(p^k j) rho_(n-k)^j, cut to
     # the working precision: layers[0] is x, the parts are the steps
     # layers[k-1] - layers[k], and the last layer is the tail.
     xc, p = tower.to_rho_basis(x).coeffs, tower.p
+    if not _k0_coeffs_in_kernel(tower, kernel_lattice(tower, n, "K0"), xc):
+        raise DomainError("decomposition needs dx = 0 (x in the kernel lattice)")
     layers = []
     for k in range(n - n1 + 1):
         layer = tower.from_rho_basis(RhoExpansion(n - k, xc[:: p ** k]))

@@ -27,7 +27,10 @@ on plain ints with cached binomial rows mod p^N, in both directions (the
 inverse is the same rows with signs): `rho_power_coords` takes every
 coordinate, `valuation` stops at the first index past its best score, and
 every sum over rho powers, sum_k c_k rho^k over Q_p (`from_rho_power_coords`)
-or over K_0 (`from_rho_basis`), runs it backwards.
+or over K_0 (`from_rho_basis`), runs it backwards.  It also gives the
+quotients behind the trace-dual basis (`_dual_data`), from the rho-coordinates
+of zeta_n^(p^n) = zeta_0, and the lattice columns of O_{K_m} at level n
+(`differentials.sublevel_columns`), from those of rho_m^i.
 
 Products, powers, conjugates, traces and norms run on one packed form, the
 triple (shift, digits, ints): every coordinate is p^shift (ints[j] +
@@ -230,7 +233,6 @@ class CyclotomicTower:
         self._pascal = [[1]]
         self._pascal_mod = {}
         self._dual_basis = {}
-        self._minpoly = {}
 
     # -- static shape -----------------------------------------------------
 
@@ -625,36 +627,25 @@ class CyclotomicTower:
     def normalized_trace(self, x: TowerElement, level: int) -> TowerElement:
         """R_level(x) = p^-(m-level) Tr_{K_m/K_level}(x).
 
-        In zeta-coordinates this is exactly the mask keeping exponents
+        In zeta-coordinates this is exactly the gather of the exponents
         divisible by p^(m-level); the denominator p^(m-level) never appears,
         which is what makes the perp decomposition below exact.
         """
         self._check_level(level)
         if level >= x.level:
             return self.embed(x, level) if x.level < level else x
-        delta = x.level - level
-        step = self.p ** delta
-        coeffs = [
-            c if j % step == 0 else PadicScalar.bottom(self.p, c.prec)
-            for j, c in enumerate(x.coeffs)
-        ]
-        return self.restrict(TowerElement(self, x.level, coeffs), level)
+        return TowerElement(self, level, x.coeffs[:: self.p ** (x.level - level)])
 
     def perp_project(self, x: TowerElement, level: int) -> TowerElement:
         """R_level - R_(level-1) for level >= 1; R_0 itself for level 0.
-        Result lives at `level`."""
-        self._check_level(level)
+        Result lives at `level`: slot j of the R_level gather is kept when p
+        does not divide j, and is bottom at its own cap otherwise."""
+        trace = self.normalized_trace(x, level)
         if level == 0:
-            return self.normalized_trace(x, 0)
-        if level > x.level:
-            x = self.embed(x, level)
-        delta = x.level - level
-        step = self.p ** delta
-        keep = []
-        for j, c in enumerate(x.coeffs):
-            ok = j != 0 and j % step == 0 and (j // step) % self.p != 0
-            keep.append(c if ok else PadicScalar.bottom(self.p, c.prec))
-        return self.restrict(TowerElement(self, x.level, keep), level)
+            return trace
+        p = self.p
+        kept = [c if j % p else PadicScalar.bottom(p, c.prec) for j, c in enumerate(trace.coeffs)]
+        return TowerElement(self, level, kept)
 
     # -- exact valuation ------------------------------------------------------------
 
@@ -737,42 +728,7 @@ class CyclotomicTower:
                 return Fraction(sx * e + best, e)
         raise ValuationOfZero("element is zero at working precision")
 
-    # -- minimal polynomials and the rho expansion ------------------------------------
-
-    def minimal_polynomial(self, level: int):
-        """Monic minimal polynomial of rho_level over K_0, as a tuple of
-        level-0 coefficient elements (constant first, leading 1 last).
-
-        Closed form: (1+X)^(p^n) - 1 - rho_0 for odd p and
-        (1-X)^(2^n) - 1 + rho_0 for p = 2 (n >= 1); both are Eisenstein over
-        O_{K_0} with constant term of valuation 1/e_0 exactly.
-        """
-        self._check_level(level)
-        got = self._minpoly.get(level)
-        if got is not None:
-            return got
-        rho0 = self.uniformizer(0)
-        if level == 0:
-            out = (-rho0, self.one(0))
-            self._minpoly[0] = out
-            return out
-        d = self.degree(level)
-        row = self._binomial_row(d)
-        coeffs = []
-        for k in range(d + 1):
-            c = row[k]
-            if self.p == 2 and k % 2 == 1:
-                c = -c
-            if k == 0:
-                c -= 1  # the constant 1 cancels
-                base = self.constant(0, c)
-                base = self.add(base, rho0 if self.p == 2 else -rho0)
-                coeffs.append(base)
-            else:
-                coeffs.append(self.constant(0, c))
-        out = tuple(coeffs)
-        self._minpoly[level] = out
-        return out
+    # -- the minimal polynomial over Q_p and the rho expansion ------------------------
 
     def minimal_polynomial_qp(self, level: int):
         """Integer coefficients of the monic minimal polynomial of rho_level
@@ -799,14 +755,17 @@ class CyclotomicTower:
 
     def _dual_data(self, level: int):
         """Cached trace-dual basis b_i = q_i / g'(rho) for the rho-power basis
-        over K_0, q_i = sum_(k>i) g_k rho^(k-i-1) the quotients of g by X - rho."""
+        over K_0, q_i = sum_(k>i) g_k rho^(k-i-1) the quotients of the minimal
+        polynomial g = (1 + sX)^d - 1 - s rho_0 (d = p^n) by X - rho; for
+        k >= 1, g_k is rho-coordinate k of zeta^d = zeta_0 (d < phi)."""
         got = self._dual_basis.get(level)
         if got is not None:
             return got
-        d = self.degree(level)
-        g, zero = self.minimal_polynomial(level), self.zero(0)
+        d, phi = self.degree(level), self.phi(level)
+        z = self.rho_power_coords(self.zeta(level, d))
+        bot = PadicScalar.bottom(self.p, self.prec)
         quots = [
-            self.from_rho_basis(RhoExpansion(level, g[i + 1 :] + (zero,) * i))
+            self.from_rho_power_coords(level, z[i + 1 : d + 1] + [bot] * (phi - d + i))
             for i in range(d)
         ]
         # extra headroom so dividing by p^level costs no working digits

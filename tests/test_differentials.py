@@ -23,12 +23,12 @@ from cyclodiff.differentials import (
     kernel_mixed_columns,
     layer_sum_columns,
     level_transition_factor,
-    mixed_basis_elements,
     mixed_coords,
     modulus_valuation,
     random_kernel_element,
+    sublevel_columns,
 )
-from test_tower import SMALL, mul_rho_oracle, rho_sum_elements
+from test_tower import FOLD_TOWERS, SMALL, mul_rho_oracle, rho_sum_elements
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,36 @@ def test_mixed_coords_roundtrip(t3, t2):
         assert len(vec) == tower.phi(2)
         back = coords_to_element(tower, 2, vec)
         assert (back - x).is_all_bottom
+
+
+def mixed_basis_elements(tower, level):
+    """The Z_p-basis rho_0^j rho_level^i of O_{K_level} (i outer, j inner) as
+    tower products: the oracle for `sublevel_columns`."""
+    d0 = tower.phi(0)
+    out = []
+    for i in range(tower.degree(level)):
+        ri = tower.rho_power(level, i)
+        for j in range(d0):
+            out.append(tower.mul(tower.embed(tower.rho_power(0, j), level), ri))
+    return out
+
+
+def test_sublevel_columns_match_the_product_route(t3, t2):
+    # the columns of O_{K_m}, scaled by p^m or not, are byte for byte the
+    # expansions of the tower products through the trace-dual basis
+    for tower in (*FOLD_TOWERS.values(), t3, t2):
+        for n in range(min(3, tower.max_level) + 1):
+            for m in range(n + 1):
+                cols = sublevel_columns(tower, m, n)
+                basis = mixed_basis_elements(tower, m)
+                assert len(cols) == len(basis) == tower.phi(m)
+                for k in {0, m}:
+                    got = [[e.shift(k).to_json() for e in col] for col in cols]
+                    want = [
+                        [e.to_json() for e in mixed_coords(tower, tower.scale_p(tower.embed(b, n), k))]
+                        for b in basis
+                    ]
+                    assert got == want, (tower.params, m, n, k)
 
 
 def test_mixed_basis_gives_unit_vectors(t3):

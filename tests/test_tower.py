@@ -1,6 +1,6 @@
 """Tower layer: basis reduction, Galois action, traces and norms, the
 normalized-trace mask identity, exact valuations, rho expansions, minimal
-polynomials, inversion."""
+polynomials (the one over K_0 as a test-side oracle), inversion."""
 
 import math
 import random
@@ -373,16 +373,57 @@ def horner_rho(tower, level, coeffs):
     return acc
 
 
+def minimal_polynomial(tower, level):
+    """Monic minimal polynomial of rho_level over K_0, as a tuple of level-0
+    coefficient elements (constant first, leading 1 last).
+
+    Closed form: (1+X)^(p^n) - 1 - rho_0 for odd p and (1-X)^(2^n) - 1 + rho_0
+    for p = 2 (n >= 1); both are Eisenstein over O_{K_0} with constant term of
+    valuation 1/e_0 exactly.
+    """
+    rho0 = tower.uniformizer(0)
+    if level == 0:
+        return (-rho0, tower.one(0))
+    d = tower.degree(level)
+    row = [math.comb(d, k) for k in range(d + 1)]
+    coeffs = []
+    for k in range(d + 1):
+        c = row[k]
+        if tower.p == 2 and k % 2 == 1:
+            c = -c
+        if k == 0:
+            c -= 1  # the constant 1 cancels
+            base = tower.constant(0, c)
+            coeffs.append(tower.add(base, rho0 if tower.p == 2 else -rho0))
+        else:
+            coeffs.append(tower.constant(0, c))
+    return tuple(coeffs)
+
+
 def dual_basis_oracle(tower, level):
     """The trace-dual basis from the quotients q_(i-1) = q_i rho + g_i of the
     minimal polynomial g by X - rho."""
-    d, g = tower.degree(level), tower.minimal_polynomial(level)
+    d, g = tower.degree(level), minimal_polynomial(tower, level)
     quots = [None] * d
     quots[d - 1] = tower.one(level)
     for i in range(d - 1, 0, -1):
         quots[i - 1] = tower.add(mul_rho_oracle(tower, quots[i]), tower.embed(g[i], level))
     gp_inv = tower.invert(tower.minpoly_derivative_at_rho(level, tower.prec + level))
     return [tower.mul(q, gp_inv) for q in quots]
+
+
+def projector_oracle(tower, x, level, perp=False):
+    """R_level(x), or R_level(x) - R_(level-1)(x) with perp=True and level >= 1,
+    by masking the zeta-coordinates and `restrict`: the loops that the
+    projectors' gathers replaced."""
+    if level > x.level:
+        x = tower.embed(x, level)
+    p, step = tower.p, tower.p ** (x.level - level)
+    keep = []
+    for j, c in enumerate(x.coeffs):
+        ok = j % step == 0 and not (perp and level and (j // step) % p == 0)
+        keep.append(c if ok else PadicScalar.bottom(p, c.prec))
+    return tower.restrict(TowerElement(tower, x.level, keep), level)
 
 
 def ragged_scalar(draw, p, top):
@@ -443,6 +484,11 @@ def test_from_rho_power_coords_matches_horner(case, data):
     for cs in (coords, ragged):
         want = horner_rho(tower, level, [tower.constant(level, c) for c in cs])
         assert tower.from_rho_power_coords(level, cs).to_json() == want.to_json()
+    # the projectors gather the same coordinates that the mask keeps
+    for target in range(tower.max_level + 1):
+        for perp, project in ((False, tower.normalized_trace), (True, tower.perp_project)):
+            want = projector_oracle(tower, x, target, perp)
+            assert project(x, target).to_json() == want.to_json(), (target, perp)
 
 
 @settings(max_examples=80, deadline=None)
@@ -531,7 +577,7 @@ def test_rho_expansion_integral_coefficients(tw):
 def test_minimal_polynomial_certificates(tw, tw2):
     for t in (tw, tw2):
         for level in range(1, t.max_level + 1):
-            g = t.minimal_polynomial(level)
+            g = minimal_polynomial(t, level)
             assert len(g) == t.degree(level) + 1
             assert g[-1] == 1
             # Eisenstein over O_{K_0}: constant has valuation exactly 1/e_0,
@@ -557,7 +603,7 @@ def test_minimal_polynomial_matches_conjugate_product(tw):
                 nxt[i + 1] = nxt[i + 1] + c
                 nxt[i] = nxt[i] - c * root
             poly = nxt
-        ref = tw.minimal_polynomial(level)
+        ref = minimal_polynomial(tw, level)
         for i in range(d + 1):
             assert tw.restrict(poly[i], 0) == ref[i]
 
@@ -580,7 +626,7 @@ def test_minimal_polynomial_qp(tw, tw2):
 def test_minpoly_derivative_closed_form(tw):
     # derivative of the K_0 minimal polynomial, honest coefficient route
     for level in (1, 2):
-        g = tw.minimal_polynomial(level)
+        g = minimal_polynomial(tw, level)
         acc = tw.zero(level)
         for i in range(1, len(g)):
             acc = acc + tw.rho_power(level, i - 1) * tw.embed(g[i] * i, level)
