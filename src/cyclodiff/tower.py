@@ -36,10 +36,13 @@ Products, powers, conjugates, traces and norms run on one packed form, the
 triple (shift, digits, ints): every coordinate is p^shift (ints[j] +
 O(p^digits)), with the least valuation and the least cap over the coordinates
 (`pack_profile`); digits = 0 is zero at cap shift.  One kernel, `_product`,
-multiplies two triples as one big integer product (Kronecker substitution),
-folds its slots and normalises: it reduces mod p^digits
-and moves the common power of p into the shift, so its output is exactly the
-packed form of the product element.  `mul` is one kernel call between
+multiplies two triples as one big integer product (Kronecker substitution) in
+slots of w bytes, w the size of phi (p^da - 1)(p^db - 1).  When w <= 8 the
+slots are cut from and read back into little-endian 8-byte words by `struct`
+and w strided slice copies; wider slots are joined and sliced as bytes
+(`_encode`, `_decode`).  It folds the slots and normalises: it reduces mod
+p^digits and moves the common power of p into the shift, so its output is
+exactly the packed form of the product.  `mul` is one kernel call between
 `_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on triples
 and build `PadicScalar`s once per result; `galois_apply`, `trace_down` and
 `norm_down` share one Galois loop on the ints, `_act`.  An element whose
@@ -57,6 +60,7 @@ never returned.  At p = 5, level 3 (phi = 500), prec 60, one inversion runs
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -72,6 +76,29 @@ from .errors import (
     ValuationOfZero,
 )
 from .padic import PadicScalar, check_json, pack_profile, vp
+
+
+def _encode(ints, w: int) -> int:
+    """sum_j ints[j] 2^(8wj) for ints in [0, 2^(8w)): w-byte slots cut from
+    packed little-endian 8-byte words when w <= 8, joined bytes otherwise."""
+    if w > 8:
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in ints), "little")
+    words = struct.pack(f"<{len(ints)}Q", *ints)
+    buf = bytearray(len(ints) * w)
+    for i in range(w):
+        buf[i::w] = words[i::8]
+    return int.from_bytes(buf, "little")
+
+
+def _decode(z: int, n: int, w: int):
+    """The n w-byte slots of z, the inverse of `_encode`."""
+    zb = z.to_bytes(n * w, "little")
+    if w > 8:
+        return [int.from_bytes(zb[t : t + w], "little") for t in range(0, n * w, w)]
+    buf = bytearray(n * 8)
+    for i in range(w):
+        buf[i::8] = zb[i::w]
+    return struct.unpack(f"<{n}Q", buf)
 
 
 def _is_prime(n: int) -> bool:
@@ -103,6 +130,8 @@ class TowerParams:
             raise DomainError("max_level must be >= 1")
         if self.prec < 4:
             raise DomainError("prec must be >= 4")
+        if self.prec > 4096:
+            raise DomainError("prec exceeds the 4096 cap")
         # The degree cap comes first and never forms p^(max_level + s - 1):
         # the loop stops once the degree passes the cap, and a p past the cap
         # never reaches the trial division below.
@@ -453,7 +482,9 @@ class CyclotomicTower:
         return shift + k, digits - k, [a // g for a in ints]
 
     def _product(self, level: int, a, b):
-        """The one product kernel, on packed elements of one level."""
+        """The one product kernel, on packed elements of one level: no slot of
+        the product exceeds phi (p^da - 1)(p^db - 1), so w bytes hold each one,
+        and for w <= 8 the slot codec runs on 8-byte words in C."""
         sa, da, xa = a
         sb, db, xb = b
         if not da or not db:
@@ -461,14 +492,9 @@ class CyclotomicTower:
             return min(sa + da + sb, sb + db + sa), 0, [0] * len(xa)
         p, phi = self.p, len(xa)
         w = ((phi * (p ** da - 1) * (p ** db - 1)).bit_length() + 7) // 8
-        za = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in xa), "little")
-        if b is a:
-            z = za * za
-        else:
-            z = za * int.from_bytes(b"".join(c.to_bytes(w, "little") for c in xb), "little")
-        nslots = 2 * phi - 1
-        zb = z.to_bytes(nslots * w, "little")
-        zs = [int.from_bytes(zb[t : t + w], "little") for t in range(0, nslots * w, w)]
+        za = _encode(xa, w)
+        z = za * za if b is a else za * _encode(xb, w)
+        zs = _decode(z, 2 * phi - 1, w)
         return self._normalise(sa + sb, min(da, db), self.fold(level, zs))
 
     def mul(self, x: TowerElement, y) -> TowerElement:
@@ -504,30 +530,13 @@ class CyclotomicTower:
         if x.level == level:
             return x
         if x.level > level:
-            raise DomainError("use restrict to go down the tower")
+            raise DomainError(f"cannot embed level {x.level} into lower level {level}")
         step = self.p ** (level - x.level)
         phi_hi = self.phi(level)
         bot = PadicScalar.bottom(self.p, x.cap)
         coeffs = [bot] * phi_hi
         for j, c in enumerate(x.coeffs):
             coeffs[j * step] = c
-        return TowerElement(self, level, coeffs)
-
-    def restrict(self, x: TowerElement, level: int) -> TowerElement:
-        """Inverse of embed; requires the off-pattern coordinates to vanish
-        at working precision."""
-        self._check_level(level)
-        if x.level == level:
-            return x
-        if x.level < level:
-            raise DomainError("use embed to go up the tower")
-        step = self.p ** (x.level - level)
-        for j, c in enumerate(x.coeffs):
-            if j % step and not c.is_bottom:
-                raise DomainError(
-                    f"coordinate {j} is nonzero; element not in level {level}"
-                )
-        coeffs = [x.coeffs[j * step] for j in range(self.phi(level))]
         return TowerElement(self, level, coeffs)
 
     # -- Galois ---------------------------------------------------------------------

@@ -154,6 +154,21 @@ def test_huge_towers_exit_2_at_once(capsys, argv):
     assert err == "tower: top field degree exceeds the 4096 cap\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["w2", "--random", "--p", "3", "--levels", "1", "--prec", "3000000"],
+        ["build", "--prec", "5000"],
+    ],
+)
+def test_huge_precisions_exit_2_at_once(capsys, argv):
+    # prec has one cap, as the degree has, checked before any scalar is built
+    start = time.perf_counter()
+    err = rejected(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert err == "tower: prec exceeds the 4096 cap\n"
+
+
 def test_element_input_errors(capsys, tmp_path):
     rc, _ = run_cli(capsys, "w2", *FAST)
     assert rc == 2

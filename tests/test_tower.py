@@ -24,6 +24,8 @@ from cyclodiff.tower import (
     RhoExpansion,
     TowerElement,
     TowerParams,
+    _decode,
+    _encode,
 )
 
 
@@ -52,6 +54,9 @@ def test_params_validation():
         TowerParams(p=3, s=1, max_level=0)
     with pytest.raises(DomainError):
         TowerParams(p=3, s=1, max_level=9)  # degree cap
+    assert TowerParams(p=3, s=1, max_level=1, prec=4096).prec == 4096
+    with pytest.raises(DomainError, match="prec exceeds the 4096 cap"):
+        TowerParams(p=3, s=1, max_level=1, prec=4097)
     for bad in ({"p": "3"}, {"p": True}, {"max_level": 2.5}, {"prec": None}):
         fields = {"p": 3, "s": 1, "max_level": 2, "prec": 12, **bad}
         with pytest.raises(DomainError):
@@ -94,14 +99,29 @@ def test_constant_and_levels(tw):
     assert y.level == 2
 
 
+def restrict(tower, x, level):
+    """The inverse of `embed`: the coordinates at multiples of p^(m-level),
+    after checking that every other coordinate vanishes at working precision."""
+    tower._check_level(level)
+    if x.level == level:
+        return x
+    if x.level < level:
+        raise DomainError("use embed to go up the tower")
+    step = tower.p ** (x.level - level)
+    for j, c in enumerate(x.coeffs):
+        if j % step and not c.is_bottom:
+            raise DomainError(f"coordinate {j} is nonzero; element not in level {level}")
+    return TowerElement(tower, level, x.coeffs[::step])
+
+
 def test_embed_restrict_roundtrip(tw):
     rng = random.Random(23)
     x = tw.random_integral(1, rng)
     up = tw.embed(x, 3)
     assert up.level == 3
-    assert tw.restrict(up, 1) == x
+    assert restrict(tw, up, 1) == x
     with pytest.raises(DomainError):
-        tw.restrict(tw.zeta(3), 1)
+        restrict(tw, tw.zeta(3), 1)
     with pytest.raises(DomainError):
         tw.embed(up, 1)
 
@@ -414,7 +434,7 @@ def dual_basis_oracle(tower, level):
 
 def projector_oracle(tower, x, level, perp=False):
     """R_level(x), or R_level(x) - R_(level-1)(x) with perp=True and level >= 1,
-    by masking the zeta-coordinates and `restrict`: the loops that the
+    by masking the zeta-coordinates and `restrict` above: the loops that the
     projectors' gathers replaced."""
     if level > x.level:
         x = tower.embed(x, level)
@@ -423,7 +443,7 @@ def projector_oracle(tower, x, level, perp=False):
     for j, c in enumerate(x.coeffs):
         ok = j % step == 0 and not (perp and level and (j // step) % p == 0)
         keep.append(c if ok else PadicScalar.bottom(p, c.prec))
-    return tower.restrict(TowerElement(tower, x.level, keep), level)
+    return restrict(tower, TowerElement(tower, x.level, keep), level)
 
 
 def ragged_scalar(draw, p, top):
@@ -605,7 +625,7 @@ def test_minimal_polynomial_matches_conjugate_product(tw):
             poly = nxt
         ref = minimal_polynomial(tw, level)
         for i in range(d + 1):
-            assert tw.restrict(poly[i], 0) == ref[i]
+            assert restrict(tw, poly[i], 0) == ref[i]
 
 
 def test_minimal_polynomial_qp(tw, tw2):
@@ -827,6 +847,76 @@ def test_fold_rejects_more_than_2q_slots(tw):
         tw.fold(1, [0] * (2 * tw.q(1) + 1))
 
 
+def join_encode(ints, w):
+    """The byte-join encoder: each int as w little-endian bytes."""
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in ints), "little")
+
+
+def join_decode(z, n, w):
+    """The byte-slice decoder: n slots of w bytes each."""
+    zb = z.to_bytes(n * w, "little")
+    return [int.from_bytes(zb[t : t + w], "little") for t in range(0, n * w, w)]
+
+
+def test_the_slot_codec_matches_the_byte_join():
+    # word slots for w <= 8, joined bytes for w = 9, on both sides of the edge
+    rng = random.Random(8)
+    for w in range(1, 10):
+        top = 2 ** (8 * w) - 1
+        for n in (1, 2, 17):
+            for slots in ([0] * n, [top] * n, [rng.randrange(top + 1) for _ in range(n)]):
+                z = join_encode(slots, w)
+                assert _encode(slots, w) == z
+                assert list(_decode(z, n, w)) == join_decode(z, n, w) == slots
+
+
+WORD_TOWERS = {
+    p: CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=40))
+    for p, levels in ((2, 3), (3, 4), (5, 2), (7, 1))
+}
+
+
+def word_digits(p, phi):
+    """The largest digit count d whose slot bound phi (p^d - 1)^2 is below
+    2^64, so that a square at d digits has slots of at most 8 bytes."""
+    d = 1
+    while phi * (p ** (d + 1) - 1) ** 2 < 2**64:
+        d += 1
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(WORD_TOWERS)), st.data())
+def test_the_product_at_the_word_edge_matches_the_schoolbook_slots(p, data):
+    # digit counts d8 and d8 + 1 put the slot width on each side of 8 bytes;
+    # mixed digit counts give the narrow slots of an unequal pair
+    tower = WORD_TOWERS[p]
+    level = data.draw(st.integers(0, tower.max_level))
+    phi = tower.phi(level)
+    d8 = word_digits(p, phi)
+    edge = [(phi * (p**d - 1) ** 2).bit_length() for d in (d8, d8 + 1)]
+    assert edge[0] <= 64 < edge[1]
+    da, db = data.draw(
+        st.sampled_from([(d8, d8), (d8 + 1, d8 + 1), (d8, d8 + 1), (d8, 1), (1, d8 + 1)])
+    )
+    kind = data.draw(st.sampled_from(["pair", "square", "maximal"]))
+    if kind == "maximal":
+        xa, xb = [p**da - 1] * phi, [p**db - 1] * phi
+    else:
+        xa = data.draw(st.lists(st.integers(0, p**da - 1), min_size=phi, max_size=phi))
+        xb = data.draw(st.lists(st.integers(0, p**db - 1), min_size=phi, max_size=phi))
+    a = (data.draw(st.integers(0, 3)), da, xa)
+    b = (data.draw(st.integers(0, 3)), db, xb)
+    if kind == "square" or (kind == "maximal" and da == db):
+        b, xb = a, xa
+    slots = [0] * (2 * phi - 1)
+    for i, u in enumerate(xa):
+        for j, v in enumerate(xb):
+            slots[i + j] += u * v
+    want = tower._normalise(a[0] + b[0], min(a[1], b[1]), plan_fold(tower, level, slots))
+    assert tower._product(level, a, b) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_elements(count=2))
 def test_valuation_of_a_product_is_the_sum(case):
@@ -872,7 +962,7 @@ def galois_oracle(tower, g, x):
 def fold_oracle(tower, x, level, combine):
     while x.level > level:
         conjugates = [galois_oracle(tower, g, x) for g in tower.relative_galois(x.level)]
-        x = tower.restrict(reduce(combine, conjugates), x.level - 1)
+        x = restrict(tower, reduce(combine, conjugates), x.level - 1)
     return x
 
 
