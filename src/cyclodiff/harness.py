@@ -331,8 +331,6 @@ def _run_rhoval(tower, seed, constants, samples):
 
 def _run_theorem_b(tower, seed, constants, samples):
     out = []
-    if tower.max_level < 1:
-        return [_skip("theorem-b", "lattice-commensurability", "needs max_level >= 1")]
     for n in range(1, min(3, tower.max_level) + 1):
         ker = kernel_lattice(tower, n, "K0")
         cols_ker = kernel_mixed_columns(tower, ker)
@@ -460,8 +458,6 @@ def _run_nopdiv(tower, seed, constants, samples):
 
 def _run_base_change(tower, seed, constants, samples):
     out = []
-    if tower.max_level < 1:
-        return [_skip("base-change", "kernel-rescaling", "needs max_level >= 1")]
     v0 = different(tower, 0, "Qp").valuation
     r = math.ceil(v0)
     for n in range(1, min(2, tower.max_level) + 1):

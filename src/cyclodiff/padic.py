@@ -28,6 +28,8 @@ from .errors import (
     ValuationOfZero,
 )
 
+CAP = 4096  # on a tower's prec and degree, and on each JSON scalar's prec and val
+
 
 def vp(n: int, p: int) -> int:
     """Exact p-adic valuation of a nonzero integer."""
@@ -307,6 +309,9 @@ class PadicScalar:
     @classmethod
     def from_json(cls, obj: dict) -> "PadicScalar":
         check_json(obj, "scalar json", p=int, val=(int, type(None)), unit=int, prec=int)
+        for key in ("val", "prec"):
+            if obj[key] is not None and abs(obj[key]) > CAP:
+                raise DomainError(f"scalar json key {key!r} exceeds the {CAP} cap")
         if obj["val"] is None:
             return cls.bottom(obj["p"], obj["prec"])
         return cls.raw(obj["p"], obj["val"], obj["unit"], obj["prec"])

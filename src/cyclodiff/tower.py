@@ -23,13 +23,14 @@ Valuations are exact, not estimated: the transform from zeta-coordinates to
 the rho-power basis over Q_p is unipotent-triangular (a Pascal matrix), and
 the rho-power basis splits valuations because k/phi are pairwise distinct
 mod 1 for 0 <= k < phi.  One generator, `_rho_digits`, runs that transform
-on plain ints with cached binomial rows mod p^N, in both directions (the
-inverse is the same rows with signs): `rho_power_coords` takes every
-coordinate, `valuation` stops at the first index past its best score, and
-every sum over rho powers, sum_k c_k rho^k over Q_p (`from_rho_power_coords`)
-or over K_0 (`from_rho_basis`), runs it backwards.  It also gives the
-quotients behind the trace-dual basis (`_dual_data`), from the rho-coordinates
-of zeta_n^(p^n) = zeta_0, and the lattice columns of O_{K_m} at level n
+on plain ints in both directions (the inverse only adds signs) as a Taylor
+shift with no binomial table: pass k turns the entries from k up into their
+suffix sums, and coordinate k is final after it.  `rho_power_coords` takes
+every coordinate, `valuation` stops at the first index past its best score,
+and every sum_k c_k rho^k, over Q_p (`from_rho_power_coords`) or over K_0
+(`from_rho_basis`), runs it backwards.  It also gives the quotients behind
+the trace-dual basis (`_dual_data`), from the rho-coordinates of
+zeta_n^(p^n) = zeta_0, and the lattice columns of O_{K_m} at level n
 (`differentials.sublevel_columns`), from those of rho_m^i.
 
 Products, powers, conjugates, traces and norms run on one packed form, the
@@ -64,6 +65,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import accumulate
 from math import gcd
 from operator import add, sub
 from typing import Optional
@@ -75,7 +77,7 @@ from .errors import (
     PadicError,
     ValuationOfZero,
 )
-from .padic import PadicScalar, check_json, pack_profile, vp
+from .padic import CAP, PadicScalar, check_json, pack_profile, vp
 
 
 def _encode(ints, w: int) -> int:
@@ -99,6 +101,11 @@ def _decode(z: int, n: int, w: int):
     for i in range(w):
         buf[i::8] = zb[i::w]
     return struct.unpack(f"<{n}Q", buf)
+
+
+def _comb_row(n: int) -> list:
+    """C(n, 0), ..., C(n, n), each from the one before (O(n) int steps)."""
+    return list(accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
 
 
 def _is_prime(n: int) -> bool:
@@ -130,18 +137,18 @@ class TowerParams:
             raise DomainError("max_level must be >= 1")
         if self.prec < 4:
             raise DomainError("prec must be >= 4")
-        if self.prec > 4096:
-            raise DomainError("prec exceeds the 4096 cap")
+        if self.prec > CAP:
+            raise DomainError(f"prec exceeds the {CAP} cap")
         # The degree cap comes first and never forms p^(max_level + s - 1):
         # the loop stops once the degree passes the cap, and a p past the cap
         # never reaches the trial division below.
         top_degree = self.p - 1
         for _ in range(self.max_level + self.s - 1):
-            if top_degree > 4096:
+            if top_degree > CAP:
                 break
             top_degree *= self.p
-        if top_degree > 4096:
-            raise DomainError("top field degree exceeds the 4096 cap")
+        if top_degree > CAP:
+            raise DomainError(f"top field degree exceeds the {CAP} cap")
         if not _is_prime(self.p):
             raise DomainError(f"p = {self.p} is not prime")
         want_s = 2 if self.p == 2 else 1
@@ -259,8 +266,6 @@ class CyclotomicTower:
         self.s = params.s
         self.max_level = params.max_level
         self.prec = params.prec
-        self._pascal = [[1]]
-        self._pascal_mod = {}
         self._dual_basis = {}
 
     # -- static shape -----------------------------------------------------
@@ -318,30 +323,6 @@ class CyclotomicTower:
         del out[phi:]
         return out
 
-    # -- caches ------------------------------------------------------------
-
-    def _binomial_row(self, n: int):
-        while len(self._pascal) <= n:
-            prev = self._pascal[-1]
-            self._pascal.append(
-                [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-            )
-        return self._pascal[n]
-
-    def _binomial_rows_mod(self, count: int, digits: int):
-        """First `count` Pascal rows reduced mod p^W (cached), where W is the
-        digit class of `digits`: 8, 16, 32, 64, ...  Rows mod p^W agree with
-        the exact rows mod p^digits for W >= digits, and one table per class
-        keeps the cache small however many digit counts callers bring."""
-        width = 8 << max(0, (digits - 1).bit_length() - 3)
-        rows = self._pascal_mod.get(width)
-        if rows is None or len(rows) < count:
-            self._binomial_row(count - 1)
-            modulus = self.p ** width
-            rows = [[v % modulus for v in row] for row in self._pascal[:count]]
-            self._pascal_mod[width] = rows
-        return rows
-
     # -- constructors --------------------------------------------------------
 
     def zero(self, level: int, prec: Optional[int] = None) -> TowerElement:
@@ -392,23 +373,15 @@ class CyclotomicTower:
         return self.rho_power(level, 1, prec)
 
     def rho_power(self, level: int, k: int, prec: Optional[int] = None) -> TowerElement:
-        """rho_level^k for 0 <= k < phi, straight from the binomial row (no
-        reduction happens below exponent phi)."""
+        """rho_level^k for 0 <= k < phi: (zeta - 1)^k for odd p, (1 - zeta)^k
+        for p = 2, expanded by the binomial theorem (no reduction happens
+        below exponent phi)."""
         self._check_level(level)
-        prec = self.prec if prec is None else prec
         phi = self.phi(level)
         if not 0 <= k < phi:
             raise DomainError(f"rho_power wants 0 <= k < {phi}, got {k}")
-        row = self._binomial_row(k)
-        # odd p: (zeta-1)^k; p=2: (1-zeta)^k. Both have C(k,j) up to sign.
-        coeffs = []
-        for j in range(phi):
-            if j > k:
-                coeffs.append(0)
-            elif self.p == 2:
-                coeffs.append(row[j] if j % 2 == 0 else -row[j])
-            else:
-                coeffs.append(row[j] if (k - j) % 2 == 0 else -row[j])
+        flip = 0 if self.p == 2 else k
+        coeffs = [-c if (j + flip) & 1 else c for j, c in enumerate(_comb_row(k))]
         return self.from_int_coeffs(level, coeffs, prec)
 
     def element_from_json(self, obj: dict) -> TowerElement:
@@ -664,26 +637,23 @@ class CyclotomicTower:
 
         zeta = 1 + s rho with s = 1 (odd p) or -1 (p = 2), so the way there is
         c_k = s^k sum_(j>=k) C(j,k) a_j, and rho = s (zeta - 1) gives the way
-        back, a_j = (-1)^j sum_(k>=j) C(k,j) (-s)^k c_k: the same rows with
+        back, a_j = (-1)^j sum_(k>=j) C(k,j) (-s)^k c_k: the same sums with
         signs, and at p = 2 the same sum.  No cyclotomic reduction enters
-        below exponent phi.  The rows are cached mod p^W, W >= digits;
-        callers that need only a prefix break out of the loop.
+        below exponent phi.  The sums are a Taylor shift: pass k turns the
+        entries from k up into their suffix sums, after which entry j holds
+        sum_(i>=j) C(i-j+k, k) a_i, so entry k is final.  The ints are kept
+        reversed and exact: each pass is one `accumulate`, and pops entry k.
+        Callers that need only a prefix break out of the loop.
         """
-        n, mod = len(ints), self.p ** digits
-        rows = self._binomial_rows_mod(n, digits)
+        mod = self.p ** digits
         odd = self.p != 2
         if inverse and odd:
             ints = [-a if j & 1 else a for j, a in enumerate(ints)]
         flip = inverse or not odd
-        for k in range(n):
-            total = 0
-            for j in range(k, n):
-                r = ints[j]
-                if r:
-                    total += rows[j][k] * r
-            if flip and k & 1:
-                total = -total
-            yield k, total % mod
+        rev = ints[::-1]
+        for k in range(len(rev)):
+            *rev, c = accumulate(rev)
+            yield k, (-c if flip and k & 1 else c) % mod
 
     def rho_power_coords(self, x: TowerElement):
         """Q_p coordinates of x in the basis 1, rho, ..., rho^(phi-1)."""
@@ -713,29 +683,22 @@ class CyclotomicTower:
 
         Works through the rho-power coordinates c_k: because the fractional
         parts k/e are pairwise distinct, val(x) = min_k (val_p(c_k) + k/e)
-        with a unique minimizer.  The transform runs in widening digit
-        windows (8, 16, ...) so typical elements never touch full precision,
-        and stops at the first k past the best score so far.
+        with a unique minimizer.  The transform runs once, at the least cap
+        of x, and stops at the first k past the best score so far.
         """
         e = self.ramification(x.level)
         sx, dx = pack_profile(x.coeffs)
         if dx <= 0 or x.is_all_bottom:
             raise ValuationOfZero("element is zero at working precision")
-        windows = sorted({min(8, dx), min(16, dx), min(32, dx), dx})
-        for win in windows:
-            best = None  # val_p(c_k) * e + k, an integer
-            reps = [c.rep_mod(win, sx) for c in x.coeffs]
-            for k, c in self._rho_digits(reps, win):
-                if c:
-                    cand = vp(c, self.p) * e + k
-                    if best is None or cand < best:
-                        best = cand
-                if best is not None and best <= k:
-                    break  # every later k scores more than best
-            if best is not None and best < win * e:
-                # any coordinate hidden below p^win would score >= win*e
-                return Fraction(sx * e + best, e)
-        raise ValuationOfZero("element is zero at working precision")
+        # best: the least val_p(c_k) * e + k; dx * e exceeds every score, and
+        # some c_k is nonzero, as the unipotent transform keeps x's unit digit
+        best = dx * e
+        for k, c in self._rho_digits([c.rep_mod(dx, sx) for c in x.coeffs], dx):
+            if c:
+                best = min(best, vp(c, self.p) * e + k)
+            if best <= k:
+                break  # every later k scores more than best
+        return Fraction(sx * e + best, e)
 
     # -- the minimal polynomial over Q_p and the rho expansion ------------------------
 
@@ -746,12 +709,8 @@ class CyclotomicTower:
         p, h, phi = self.p, self.h(level), self.phi(level)
         coeffs = [0] * (phi + 1)
         for i in range(p):
-            row = self._binomial_row(i * h)
-            for k in range(i * h + 1):
-                coeffs[k] += row[k]
-        if p == 2:
-            for k in range(1, phi + 1, 2):
-                coeffs[k] = -coeffs[k]
+            for k, c in enumerate(_comb_row(i * h)):
+                coeffs[k] += -c if p == 2 and k & 1 else c
         return coeffs
 
     def minpoly_derivative_at_rho(self, level: int, prec: Optional[int] = None) -> TowerElement:

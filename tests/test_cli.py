@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import cyclodiff
 from cyclodiff.cli import main
 from cyclodiff.tower import CyclotomicTower, TowerParams
 
@@ -167,6 +169,47 @@ def test_huge_precisions_exit_2_at_once(capsys, argv):
     err = rejected(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert err == "tower: prec exceeds the 4096 cap\n"
+
+
+@pytest.mark.parametrize("key, value", [("prec", 10**7), ("val", -(10**7))])
+def test_huge_json_scalars_exit_2_at_once(capsys, tmp_path, key, value):
+    # JSON scalars are bounded by the 4096 cap, not by the tower's prec
+    coord = {"p": 3, "val": 0, "unit": 1, "prec": 6, key: value}
+    bottom = {"p": 3, "val": None, "unit": 0, "prec": 6}
+    element_file = _write(tmp_path / "elt.json", {"level": 1, "coeffs": [coord] + [bottom] * 5})
+    start = time.perf_counter()
+    err = rejected(
+        capsys, "w2", "--element-file", element_file, "--p", "3", "--levels", "1", "--prec", "6"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert err == f"tower: scalar json key {key!r} exceeds the 4096 cap\n"
+
+
+# The child limits its own address space before it imports anything, so the
+# largest tower runs inside the limit and never against the whole machine.
+CAPPED_W2 = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cyclodiff.cli import main
+sys.exit(main(["w2", "--random", "--p", "2", "--levels", "11", "--prec", "60"]))
+"""
+
+
+def test_w2_at_the_degree_cap_runs_in_1_gb():
+    # the Pascal transform keeps no binomial table, so the top of the largest
+    # tower the degree cap allows (phi = 4096) fits in 1 GB of address space
+    src = os.path.dirname(os.path.dirname(cyclodiff.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_W2], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["kind"] == "w2" and rep["tower"]["top_degree"] == 4096
+    assert isinstance(rep["w2"], int)
 
 
 def test_element_input_errors(capsys, tmp_path):

@@ -199,6 +199,15 @@ def test_json_round_trip():
         PadicScalar.from_json({"p": 3, "val": 0, "unit": 1})
 
 
+def test_json_scalars_stop_at_the_size_cap():
+    # prec and val share the tower's 4096 cap, not any tower's prec
+    assert PadicScalar.from_json({"p": 3, "val": -4096, "unit": 1, "prec": 4096}).val == -4096
+    for key, value in [("prec", 4097), ("prec", -4097), ("val", 4097), ("val", -10**7)]:
+        obj = {"p": 3, "val": 0, "unit": 1, "prec": 6, key: value}
+        with pytest.raises(DomainError, match=f"key '{key}' exceeds the 4096 cap"):
+            PadicScalar.from_json(obj)
+
+
 # -- model-based checks -------------------------------------------------
 
 primes = st.sampled_from([2, 3, 5])

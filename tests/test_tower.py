@@ -342,10 +342,10 @@ def test_rho_power_coords_match_rho_powers(tw):
     assert acc == x
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_rho_power_coords_at_any_digit_count(p):
-    # the Pascal rows are cached per digit class (8, 16, 32, 64); digit
-    # counts inside a class must still give the exact binomial sum
+    # both directions of the Pascal transform against the direct binomial
+    # sums, at digit counts on and off the powers of two
     tower = CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=2, prec=60))
     level, rng = 2, random.Random(61)
     phi = tower.phi(level)
@@ -362,7 +362,14 @@ def test_rho_power_coords_at_any_digit_count(p):
         assert [c.rep_mod(digits) for c in coords] == direct, digits
         scores = [vp(c, p) + Fraction(k, phi) for k, c in enumerate(direct) if c]
         assert tower.valuation(x) == min(scores), digits
-    assert sorted(tower._pascal_mod) == [8, 16, 32, 64]
+        # the way back: a_j = (-1)^j sum_(k>=j) C(k,j) (-sign)^k c_k
+        cs = [rng.randrange(mod) for _ in range(phi)]
+        back = tower.from_rho_power_coords(level, [PadicScalar.from_int(p, c, digits) for c in cs])
+        direct_back = [
+            (-1) ** j * sum(math.comb(k, j) * (-sign) ** k * c for k, c in enumerate(cs)) % mod
+            for j in range(phi)
+        ]
+        assert [c.rep_mod(digits) for c in back.coeffs] == direct_back, digits
 
 
 # Sums over rho powers as the loops that the inverse Pascal transform
