@@ -81,7 +81,9 @@ def norm_congruence_cell(
     not all bottom has an exact valuation, shared by every lift of the
     truncated x, the full-precision x included, because every tower op keeps
     a sound cap.  An all-bottom difference whose cap cannot beat the floor
-    found so far ends the climb early.
+    found so far ends the climb early.  The draws, the truncations and the
+    difference (`CyclotomicTower.norm_defect`) stay packed triples, so a rung
+    builds no `PadicScalar`.
     """
     m = n + k
     deg = tower.p ** k
@@ -93,7 +95,7 @@ def norm_congruence_cell(
         digits = min(8, x.cap)
         while True:
             xd = tower.truncate(x, digits)
-            diff = tower.embed(tower.norm_down(xd, n), m) - tower.power(xd, deg)
+            diff = tower.norm_defect(xd, n)
             if not diff.is_all_bottom:
                 v = tower.valuation(diff) - deg * val_x
                 if best is None or v < best:
@@ -243,9 +245,7 @@ class ConstantsReport:
 
 def norm_witness_value(tower: CyclotomicTower) -> Fraction:
     """val(N(rho_1)/rho_1^p - 1) for the cell (0,1) basis witness."""
-    x = tower.uniformizer(1)
-    nx = tower.embed(tower.norm_down(x, 0), 1)
-    diff = nx - tower.power(x, tower.p)
+    diff = tower.norm_defect(tower.uniformizer(1), 0)
     return tower.valuation(diff) - Fraction(tower.p, tower.phi(1))
 
 

@@ -4,9 +4,9 @@ The tower is K_0 c K_1 c ... c K_L with K_n = Q_p(zeta_n) for zeta_n a
 primitive p^(n+s)-th root of unity, s = 1 for odd p and s = 2 for p = 2
 (so K_0 = Q_p(zeta_p), resp. Q_2(i), and each step has degree p).
 
-Elements of K_n are stored by their coordinates in the power basis
+Elements of K_n are given by their coordinates in the power basis
 1, zeta, ..., zeta^(phi-1) of the ring of integers, phi = phi(p^(n+s)) =
-(p-1) p^(n+s-1), with `PadicScalar` coordinates.  Reduction has one home,
+(p-1) p^(n+s-1), as `PadicScalar`s or packed (below).  Reduction has one home,
 `fold`: on integers indexed by zeta-exponent t < 2q, q = p^(n+s), it applies
 zeta^q = 1 (slot t adds into slot t - q) and then the cyclotomic relation
 zeta^phi = -(1 + zeta^h + ... + zeta^((p-2)h)), h = p^(n+s-1) (the h slots
@@ -44,11 +44,22 @@ and w strided slice copies; wider slots are joined and sliced as bytes
 (`_encode`, `_decode`).  It folds the slots and normalises: it reduces mod
 p^digits and moves the common power of p into the shift, so its output is
 exactly the packed form of the product.  `mul` is one kernel call between
-`_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on triples
-and build `PadicScalar`s once per result; `galois_apply`, `trace_down` and
-`norm_down` share one Galois loop on the ints, `_act`.  An element whose
-coordinates carry different caps (only JSON input and hand-built elements do)
-is read at its least cap, as `mul` always read it.
+`_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on triples;
+`galois_apply`, `trace_down` and `norm_down` share one Galois loop on the
+ints, `_act`.  An element whose coordinates carry different caps (only JSON
+input and hand-built elements do) is read at its least cap, as `mul` always
+read it.
+
+A `TowerElement` holds its coordinates, its triple, or both, and builds the
+missing view on first use.  The kernels, `truncate`, `from_int_coeffs`, the
+rho transforms and `norm_defect` return elements that hold only a triple;
+`valuation` reads it, and `coeffs` builds the `PadicScalar`s on first read,
+so a chain of packed ops builds none.  `_pack` caches the triple of an element
+built from coordinates.  A triple is always `_pack` of the coordinates,
+normalised by `_normalise`: digits = 0 or some int is prime to p.  `add`,
+negation, `embed`, `scale_p` and the projectors keep each coordinate's cap
+and work on the coordinates; so does `is_all_bottom` when they exist, since a
+ragged element can pack to zero at its least cap with a nonzero coordinate.
 
 Inversion strips x = p^a rho^r u down to the unit u and runs Newton's method
 on it with precision doubling: steps mod p until the residual 1 - uy is zero,
@@ -178,27 +189,48 @@ class GaloisElement:
 
 
 class TowerElement:
-    __slots__ = ("tower", "level", "coeffs")
+    """An element of K_level, held as its coordinates, its packed triple
+    (shift, digits, ints), or both; a view is built from the other on first
+    use (`coeffs` here, `CyclotomicTower._pack` for the triple)."""
 
-    def __init__(self, tower: "CyclotomicTower", level: int, coeffs):
+    __slots__ = ("tower", "level", "_coeffs", "_packed")
+
+    def __init__(self, tower: "CyclotomicTower", level: int, coeffs=None, packed=None):
         self.tower = tower
         self.level = level
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != tower.phi(level):
-            raise DomainError(
-                f"level {level} needs {tower.phi(level)} coordinates, got {len(self.coeffs)}"
-            )
+        self._coeffs = None if coeffs is None else tuple(coeffs)
+        self._packed = packed
+        n = len(self._coeffs if packed is None else packed[2])
+        if n != tower.phi(level):
+            raise DomainError(f"level {level} needs {tower.phi(level)} coordinates, got {n}")
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            shift, digits, ints = self._packed
+            p, prec = self.tower.p, shift + digits
+            if digits:
+                self._coeffs = tuple(PadicScalar.raw(p, shift, a, prec) for a in ints)
+            else:
+                self._coeffs = (PadicScalar.bottom(p, shift),) * len(ints)
+        return self._coeffs
 
     # coordinate-level helpers ------------------------------------------
 
     @property
     def is_all_bottom(self) -> bool:
-        return all(c.is_bottom for c in self.coeffs)
+        # the coordinates decide when they exist: a ragged element can pack
+        # to zero at its least cap and still hold a nonzero coordinate
+        if self._coeffs is None:
+            return not self._packed[1]
+        return all(c.is_bottom for c in self._coeffs)
 
     @property
     def cap(self) -> int:
         """Absolute precision floor across the coordinates."""
-        return min(c.prec for c in self.coeffs)
+        if self._packed is not None:
+            return self._packed[0] + self._packed[1]
+        return min(c.prec for c in self._coeffs)
 
     # ring ops go through the tower so caches are shared ------------------
 
@@ -328,8 +360,7 @@ class CyclotomicTower:
     def zero(self, level: int, prec: Optional[int] = None) -> TowerElement:
         self._check_level(level)
         prec = self.prec if prec is None else prec
-        bot = PadicScalar.bottom(self.p, prec)
-        return TowerElement(self, level, [bot] * self.phi(level))
+        return self._unpack(level, (prec, 0, [0] * self.phi(level)))
 
     def one(self, level: int, prec: Optional[int] = None) -> TowerElement:
         return self.constant(level, 1, prec)
@@ -363,9 +394,7 @@ class CyclotomicTower:
         if len(ints) > phi:
             raise DomainError("too many coordinates")
         ints += [0] * (phi - len(ints))
-        return TowerElement(
-            self, level, [PadicScalar.from_int(self.p, n, prec) for n in ints]
-        )
+        return self._unpack(level, self._normalise(0, prec, ints))
 
     def uniformizer(self, level: int, prec: Optional[int] = None) -> TowerElement:
         """rho_level: zeta - 1 for odd p, 1 - zeta for p = 2 (the sign that
@@ -430,22 +459,23 @@ class CyclotomicTower:
     def _pack(self, x: TowerElement):
         """x as (shift, digits, ints): every coordinate is p^shift * (ints[j] +
         O(p^digits)), from `pack_profile`'s least valuation and least cap.
-        digits == 0 means zero at cap shift."""
-        shift, digits = pack_profile(x.coeffs)
-        if not digits:
-            return shift, 0, [0] * len(x.coeffs)
-        return shift, digits, [c.rep_mod(digits, shift) for c in x.coeffs]
+        digits == 0 means zero at cap shift.  Computed once and cached on x;
+        callers must not mutate the ints."""
+        if x._packed is None:
+            shift, digits = pack_profile(x.coeffs)
+            ints = [c.rep_mod(digits, shift) for c in x.coeffs] if digits else [0] * len(x.coeffs)
+            x._packed = shift, digits, ints
+        return x._packed
 
     def _unpack(self, level: int, packed) -> TowerElement:
-        shift, digits, ints = packed
-        if not digits:
-            return self.zero(level, shift)
-        p, prec = self.p, shift + digits
-        return TowerElement(self, level, [PadicScalar.raw(p, shift, a, prec) for a in ints])
+        """The element holding only ``packed``, which must be normalised."""
+        return TowerElement(self, level, packed=packed)
 
     def _normalise(self, shift: int, digits: int, acc):
         """(shift, digits, acc) with acc reduced mod p^digits and the common
         power of p moved into the shift: `_pack` of the unpacked element."""
+        if digits <= 0:
+            return shift + digits, 0, [0] * len(acc)  # nothing survives the cap
         mod = self.p ** digits
         ints = [a % mod for a in acc]
         g = gcd(mod, *ints)
@@ -604,6 +634,20 @@ class CyclotomicTower:
             x, level, lambda top, cs: reduce(partial(self._product, top), cs), "norm"
         )
 
+    def norm_defect(self, x: TowerElement, level: int) -> TowerElement:
+        """N_{K_m/K_level}(x) - x^(p^(m-level)) in K_m, m = x.level: the
+        norm's ints spread with stride p^(m-level), as `embed` places them,
+        minus the power's, at the lesser of the two caps, as `add` reads
+        them."""
+        stride = self.p ** (x.level - level)
+        sn, dn, norm = self._pack(self.norm_down(x, level))
+        sp, dp, power = self._pack(self.power(x, stride))
+        shift = min(sn, sp)
+        out = [-a * self.p ** (sp - shift) for a in power]
+        scale = self.p ** (sn - shift)
+        out[::stride] = [b + a * scale for b, a in zip(out[::stride], norm)]
+        return self._unpack(x.level, self._normalise(shift, min(sn + dn, sp + dp) - shift, out))
+
     # -- normalized trace and perp projections ------------------------------------
 
     def normalized_trace(self, x: TowerElement, level: int) -> TowerElement:
@@ -657,11 +701,10 @@ class CyclotomicTower:
 
     def rho_power_coords(self, x: TowerElement):
         """Q_p coordinates of x in the basis 1, rho, ..., rho^(phi-1)."""
-        sx, dx = pack_profile(x.coeffs)
-        if dx <= 0 or x.is_all_bottom:
-            return [PadicScalar.bottom(self.p, sx + max(dx, 0))] * self.phi(x.level)
-        digits = self._rho_digits([c.rep_mod(dx, sx) for c in x.coeffs], dx)
-        return [PadicScalar.raw(self.p, sx, c, sx + dx) for _, c in digits]
+        sx, dx, ints = self._pack(x)
+        if not dx:
+            return [PadicScalar.bottom(self.p, sx)] * self.phi(x.level)
+        return [PadicScalar.raw(self.p, sx, c, sx + dx) for _, c in self._rho_digits(ints, dx)]
 
     def from_rho_power_coords(self, level: int, coords) -> TowerElement:
         """sum_k coords[k] rho_level^k over Q_p, the inverse of
@@ -687,13 +730,13 @@ class CyclotomicTower:
         of x, and stops at the first k past the best score so far.
         """
         e = self.ramification(x.level)
-        sx, dx = pack_profile(x.coeffs)
-        if dx <= 0 or x.is_all_bottom:
+        sx, dx, ints = self._pack(x)
+        if not dx:
             raise ValuationOfZero("element is zero at working precision")
         # best: the least val_p(c_k) * e + k; dx * e exceeds every score, and
         # some c_k is nonzero, as the unipotent transform keeps x's unit digit
         best = dx * e
-        for k, c in self._rho_digits([c.rep_mod(dx, sx) for c in x.coeffs], dx):
+        for k, c in self._rho_digits(ints, dx):
             if c:
                 best = min(best, vp(c, self.p) * e + k)
             if best <= k:
@@ -785,12 +828,15 @@ class CyclotomicTower:
 
     def truncate(self, x: TowerElement, digits: int) -> TowerElement:
         """x with every coordinate cut to absolute precision p^digits; x
-        itself when digits is its cap.  Raising the cap is not possible."""
+        itself when digits is its cap.  Raising the cap is not possible.  The
+        packed ints are cut mod p^(digits - shift): digits is at most the
+        least cap, so even ragged input gives one cap."""
         if digits == x.cap:
             return x
         if digits > x.cap:
             raise InsufficientPrecision(f"cannot raise cap {x.cap} to {digits}")
-        return TowerElement(self, x.level, [c.truncate(digits) for c in x.coeffs])
+        shift, _, ints = self._pack(x)
+        return self._unpack(x.level, self._normalise(shift, digits - shift, ints))
 
     def scale_p(self, x: TowerElement, k: int) -> TowerElement:
         """Multiply by the exact power p**k (coordinate shifts, no rounding)."""
@@ -813,7 +859,7 @@ class CyclotomicTower:
         if r == 0:
             z_inv = self._invert_unit(self.scale_p(x, -a))
             return self.scale_p(z_inv, -a)
-        _, dx = pack_profile(x.coeffs)
+        dx = self._pack(x)[1]
         shift = self.rho_power(x.level, e - r, dx + 2)
         z = self.scale_p(self.mul(x, shift), -(a + 1))
         if z.cap < 1:
@@ -888,9 +934,11 @@ class CyclotomicTower:
         )
 
     def random_unit(self, level: int, rng, prec: Optional[int] = None) -> TowerElement:
-        x = self.random_integral(level, rng, prec)
-        res = sum(c.rep_mod(1) for c in x.coeffs if not c.is_bottom) % self.p
-        if res == 0:
-            one = self.one(level, x.cap)
-            x = self.add(x, one)
-        return x
+        """The draw of `random_integral`, plus 1 when it is 0 mod rho: zeta =
+        1 mod rho, so x mod rho is the sum of the coordinates mod p."""
+        self._check_level(level)
+        prec = self.prec if prec is None else prec
+        ints = [rng.randrange(self.p ** prec) for _ in range(self.phi(level))]
+        if sum(ints) % self.p == 0:
+            ints[0] += 1
+        return self.from_int_coeffs(level, ints, prec)

@@ -295,3 +295,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "tower"
+
+
+# 9 + O(3) zeta on the tower p = 3, 1 level, prec 6: coordinate 0 is 9 at cap
+# 6, coordinate 1 is bottom at cap 1, the rest are bottom at cap 6.  Its least
+# cap leaves no digit, yet coordinate 0 is not bottom.  These outputs are the
+# library's answers before elements kept their packed form; whether such input
+# should be cut or refused at load is a separate decision.
+RAGGED_W2 = (
+    '{\n  "kind": "w2",\n  "level": 1,\n  "library_version": "0.1.0",\n  "seed": 0,\n'
+    '  "tower": {\n    "max_level": 1,\n    "p": 3,\n    "prec": 6,\n    "s": 1,\n'
+    '    "top_degree": 6\n  },\n  "w2": 2\n}\n'
+)
+
+
+def test_a_ragged_element_keeps_its_answers(capsys, tmp_path):
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=6))
+    bottom = {"p": 3, "val": None, "unit": 0, "prec": 6}
+    obj = {"level": 1, "coeffs": [{"p": 3, "val": 2, "unit": 1, "prec": 6},
+                                  dict(bottom, prec=1)] + [bottom] * 4}
+    x = tower.element_from_json(obj)
+    for _ in range(2):  # before and after a product has packed x
+        assert (x.is_all_bottom, x.cap, x.to_json()) == (False, 1, obj)
+        tower.mul(x, tower.one(1))
+    assert tower.truncate(x, 1) is x
+    for digits in (0, -1):
+        cut = tower.truncate(x, digits)
+        assert cut.to_json()["coeffs"] == [c.truncate(digits).to_json() for c in x.coeffs]
+        assert (cut.is_all_bottom, cut.cap) == (True, digits)
+    argv = ["w2", "--element-file", _write(tmp_path / "ragged.json", obj)]
+    assert main(argv + ["--p", "3", "--levels", "1", "--prec", "6"]) == 0
+    assert capsys.readouterr().out == RAGGED_W2

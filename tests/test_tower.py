@@ -1065,3 +1065,90 @@ def test_random_unit_is_unit(tw):
 
 def test_element_str_mentions_level(tw):
     assert "K[1]" in str(tw.zeta(1))
+
+
+# Results of the packed kernels hold only their triple and build coordinates
+# on first read.  The triple must be what `_pack` makes of those coordinates,
+# normalised, and cap, zero test and JSON must not depend on the view.
+
+
+def assert_packed_view(tower, y, what):
+    assert y._coeffs is None, what
+    seen = (y._packed, y.cap, y.is_all_bottom)
+    rebuilt = TowerElement(tower, y.level, y.coeffs)
+    assert seen == (tower._pack(rebuilt), rebuilt.cap, rebuilt.is_all_bottom), what
+    assert y.to_json() == rebuilt.to_json(), what
+
+
+@settings(max_examples=80, deadline=None)
+@given(rho_sum_elements(), st.data())
+def test_packed_results_hold_the_triple_of_their_coordinates(case, data):
+    tower, x = case
+    level, p = x.level, tower.p
+    ints = data.draw(st.lists(st.integers(-(p**9), p**9), max_size=tower.phi(level)))
+    results = [
+        ("mul", tower.mul(x, x)),
+        ("mul rho", tower.mul(x, tower.rho_power(level, 1))),
+        ("power", tower.power(x, data.draw(st.integers(2, 9)))),
+        ("galois_apply", tower.galois_apply(tower.galois(level, 1), x)),
+        ("from_int_coeffs", tower.from_int_coeffs(level, ints, data.draw(st.integers(-2, 10)))),
+        ("from_rho_power_coords", tower.from_rho_power_coords(level, tower.rho_power_coords(x))),
+    ]
+    results += [(f"truncate {d}", tower.truncate(x, d)) for d in range(x.cap - 3, x.cap)]
+    for target in range(level):
+        results += [
+            (f"norm_down {target}", tower.norm_down(x, target)),
+            (f"trace_down {target}", tower.trace_down(x, target)),
+            (f"norm_defect {target}", tower.norm_defect(x, target)),
+        ]
+    if level:
+        results.append(("from_rho_basis", tower.from_rho_basis(tower.to_rho_basis(x))))
+    for what, y in results:
+        assert_packed_view(tower, y, what)
+
+
+def norm_defect_inputs(tower, m):
+    rng = random.Random(m)
+    units = [tower.random_unit(m, rng) for _ in range(3)]
+    yield from (tower.rho_power(m, i) for i in range(0, tower.phi(m), max(1, tower.phi(m) // 5)))
+    yield from units
+    yield from (tower.truncate(u, d) for u in units for d in (8, 16))
+    yield tower.zero(m)
+    yield tower.truncate(tower.scale_p(units[0], 3), 2)  # all bottom at cap 2
+    coeffs = list(units[1].coeffs)
+    coeffs[1] = coeffs[1].truncate(9)  # ragged: one coordinate at its own cap
+    yield TowerElement(tower, m, coeffs)
+
+
+@pytest.mark.parametrize("p, levels, prec", [(2, 2, 20), (3, 2, 20), (5, 1, 18)])
+def test_norm_defect_is_the_embedded_norm_minus_the_power(p, levels, prec):
+    tower = CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=prec))
+    for m in range(1, levels + 1):
+        for x in norm_defect_inputs(tower, m):
+            for n in range(m):
+                got = tower.norm_defect(x, n)
+                want = tower.embed(tower.norm_down(x, n), m) - tower.power(x, p ** (m - n))
+                assert got.to_json() == want.to_json(), (m, n, x)
+
+
+def test_a_ladder_rung_on_a_packed_element_builds_no_scalar(monkeypatch):
+    # the rung of `constants.norm_congruence_cell`: truncate, the defect, its
+    # zero test and its valuation all stay on the packed triple
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
+    xs = [tower.random_unit(2, random.Random(7)), tower.rho_power(2, 5)]
+    assert all(x._coeffs is None for x in xs)
+    built = []
+    raw, init = PadicScalar.__dict__["raw"].__func__, PadicScalar.__init__
+    monkeypatch.setattr(
+        PadicScalar, "raw", classmethod(lambda cls, *a: built.append("raw") or raw(cls, *a))
+    )
+    monkeypatch.setattr(
+        PadicScalar, "__init__", lambda self, *a: built.append("init") or init(self, *a)
+    )
+    for x in xs:
+        diff = tower.norm_defect(tower.truncate(x, 8), 1)
+        assert not diff.is_all_bottom
+        tower.valuation(diff)
+    assert built == []
+    xs[0].coeffs  # the counters see the scalars that the coordinates need
+    assert built.count("raw") == tower.phi(2)
