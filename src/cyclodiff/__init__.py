@@ -23,7 +23,6 @@ from .differentials import (
     divisibility_exponent,
     elementary_divisor_valuations,
     flat_decompose,
-    kernel_contains,
     kernel_lattice,
     kernel_mixed_columns,
     layer_sum_columns,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_constants",
     "flat_decompose",
     "flatness_test",
-    "kernel_contains",
     "kernel_lattice",
     "kernel_mixed_columns",
     "layer_sum_columns",

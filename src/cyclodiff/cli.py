@@ -27,7 +27,7 @@ from .completion import (
     w2_valuation,
 )
 from .constants import cell_rng, estimate_constants
-from .errors import PadicError
+from .errors import DomainError, PadicError
 from .harness import (
     CONSTANTS_SAMPLES,
     SUITE_NAMES,
@@ -95,11 +95,20 @@ def _element_input(cmd: argparse.ArgumentParser):
     )
 
 
+def read_json(path: str):
+    """The JSON value in the file at ``path``; text the parser refuses (not
+    JSON, nested too deep, an int literal too long) raises DomainError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as err:
+            raise DomainError(f"{err} in {path}") from None
+
+
 def make_tower(args) -> CyclotomicTower:
     conf = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise PadicError("config file must hold a JSON object")
         unknown = set(raw) - set(CONFIG_KEYS)
@@ -126,8 +135,7 @@ def load_element(tower: CyclotomicTower, args):
     if args.element_file and args.random:
         raise PadicError("pass either --element-file or --random, not both")
     if args.element_file:
-        with open(args.element_file, "r", encoding="utf-8") as fh:
-            return tower.element_from_json(json.load(fh))
+        return tower.element_from_json(read_json(args.element_file))
     if args.random:
         level = args.level if args.level is not None else tower.max_level
         rng = cell_rng(args.seed, "cli-element", level, 0)
@@ -188,8 +196,7 @@ def main(argv=None) -> int:
             emit_report(envelope(tower, "w2", args.seed, payload), args.out)
             return 0
         if args.command == "series":
-            with open(args.series_file, "r", encoding="utf-8") as fh:
-                series = perp_series_from_json(tower, json.load(fh))
+            series = perp_series_from_json(tower, read_json(args.series_file))
             if args.op == "invert":
                 result = series_invert(tower, series)
                 payload = {"series": result.to_json(), "op": "invert"}
@@ -200,7 +207,7 @@ def main(argv=None) -> int:
                 emit_report(envelope(tower, "element", args.seed, payload), args.out)
             return 0
         raise PadicError(f"unhandled command {args.command!r}")
-    except (PadicError, OSError, json.JSONDecodeError) as err:
+    except (PadicError, OSError) as err:
         print(f"tower: {err}", file=sys.stderr)
         return 2
 

@@ -168,9 +168,7 @@ class FlatnessReport:
     margins: tuple  # (k, val((g_k - 1) x) - k or None) for each tested k
 
 
-def flatness_test(
-    tower: CyclotomicTower, x: TowerElement, k_max: Optional[int] = None
-) -> FlatnessReport:
+def flatness_test(tower: CyclotomicTower, x: TowerElement) -> FlatnessReport:
     """Margins val((g_k - 1) x) - k for the layer generators g_k, k < level.
 
     g_k generates the automorphisms fixing K_k, so a nonnegative margin at
@@ -178,9 +176,8 @@ def flatness_test(
     sense; the minimum margin is the flatness defect.
     """
     lev = x.level
-    top = lev - 1 if k_max is None else min(k_max, lev - 1)
     out = []
-    for k in range(top + 1):
+    for k in range(lev):
         g = tower.layer_generator(k, lev)
         diff = tower.galois_apply(g, x) - x
         try:

@@ -385,19 +385,6 @@ def _k0_coeffs_in_kernel(tower: CyclotomicTower, ker: KernelLattice, coeffs) -> 
     )
 
 
-def kernel_contains(tower: CyclotomicTower, ker: KernelLattice, x: TowerElement) -> bool:
-    if x.level != ker.level:
-        raise DomainError("element level does not match the kernel lattice")
-    if ker.base == "K0":
-        return _k0_coeffs_in_kernel(tower, ker, tower.to_rho_basis(x).coeffs)
-    for k, c in enumerate(tower.rho_power_coords(x)):
-        if c.is_bottom:
-            continue
-        if c.val < ker.exps[k]:
-            return False
-    return True
-
-
 def kernel_mixed_columns(tower: CyclotomicTower, ker: KernelLattice):
     """Generators of the kernel lattice in the shared mixed coordinates."""
     d0 = tower.phi(0)

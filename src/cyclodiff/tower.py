@@ -52,22 +52,24 @@ read it.
 
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
 missing view on first use.  The kernels, `truncate`, `from_int_coeffs`, the
-rho transforms and `norm_defect` return elements that hold only a triple;
-`valuation` reads it, and `coeffs` builds the `PadicScalar`s on first read,
-so a chain of packed ops builds none.  `_pack` caches the triple of an element
-built from coordinates.  A triple is always `_pack` of the coordinates,
-normalised by `_normalise`: digits = 0 or some int is prime to p.  `add`,
-negation, `embed`, `scale_p` and the projectors keep each coordinate's cap
-and work on the coordinates; so does `is_all_bottom` when they exist, since a
-ragged element can pack to zero at its least cap with a nonzero coordinate.
+rho transforms, `norm_defect` and `invert` return elements that hold only a
+triple; `valuation` reads it, and `coeffs` builds the `PadicScalar`s on first
+read, so a chain of packed ops builds none.  A triple is always `_pack` of the
+coordinates (cached on elements built from them), normalised by `_normalise`:
+digits = 0 or some int is prime to p.  `add`, negation, `embed`, `scale_p` and
+the projectors keep each coordinate's cap and work on the coordinates; so does
+`is_all_bottom` when they exist, since a ragged element can pack to zero at
+its least cap with a nonzero coordinate.
 
-Inversion strips x = p^a rho^r u down to the unit u and runs Newton's method
-on it with precision doubling: steps mod p until the residual 1 - uy is zero,
-then one step at each of 2, 4, 8, ... digits and one at the cap.  Each step
-first checks that the residual vanishes to the digits already reached, and
-raises InsufficientPrecision if it does not, so an unconverged inverse is
-never returned.  At p = 5, level 3 (phi = 500), prec 60, one inversion runs
-31 products, of which one is at 60 digits.
+Inversion strips x = p^a rho^r u down to the unit u, each power of p a move of
+the shift, and runs Newton's method on u's triple with precision doubling:
+steps mod p until the residual 1 - uy is zero, then one step at each of 2, 4,
+8, ... digits and one at the cap.  A step makes its two products with `mul`
+and its two sums with `_combine`, the packed sum at the lesser cap that
+`norm_defect` also uses.  Each step first checks that the residual vanishes to
+the digits already reached, and raises InsufficientPrecision if it does not,
+so an unconverged inverse is never returned.  At p = 5, level 3 (phi = 500),
+prec 60, one inversion runs 31 products, of which one is at 60 digits.
 """
 
 from __future__ import annotations
@@ -169,23 +171,11 @@ class TowerParams:
 
 @dataclass(frozen=True)
 class GaloisElement:
-    """The automorphism zeta -> zeta^unit of K_level, unit coprime to p.
-
-    ``exponent`` records t when the element was built as the t-th power of
-    the distinguished layer-0 generator sigma_(1+p^s); the character map is
-    then just ``exponent``.
-    """
+    """The automorphism zeta -> zeta^unit of K_level, unit coprime to p."""
 
     level: int
     unit: int
     modulus: int
-    exponent: Optional[int] = None
-
-    def inverse(self) -> "GaloisElement":
-        expo = -self.exponent if self.exponent is not None else None
-        return GaloisElement(
-            self.level, pow(self.unit, -1, self.modulus), self.modulus, expo
-        )
 
 
 class TowerElement:
@@ -243,7 +233,7 @@ class TowerElement:
         return TowerElement(self.tower, self.level, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self.tower.add(self, self.tower.coerce_neg(other, self.level))
+        return self.tower.add(self, -other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -430,16 +420,6 @@ class CyclotomicTower:
 
     # -- addition ------------------------------------------------------------
 
-    def coerce(self, x, level: int) -> TowerElement:
-        if isinstance(x, TowerElement):
-            return x
-        return self.constant(level, x)
-
-    def coerce_neg(self, x, level: int):
-        if isinstance(x, TowerElement):
-            return -x
-        return self.constant(level, -x)
-
     def _align(self, x: TowerElement, y: TowerElement):
         if x.level == y.level:
             return x, y
@@ -448,7 +428,8 @@ class CyclotomicTower:
         return x, self.embed(y, x.level)
 
     def add(self, x: TowerElement, y) -> TowerElement:
-        y = self.coerce(y, x.level)
+        if not isinstance(y, TowerElement):
+            y = self.constant(x.level, y)
         x, y = self._align(x, y)
         return TowerElement(
             self, x.level, [a + b for a, b in zip(x.coeffs, y.coeffs)]
@@ -544,28 +525,23 @@ class CyclotomicTower:
 
     # -- Galois ---------------------------------------------------------------------
 
-    def galois_by_unit(self, level: int, unit: int, exponent: Optional[int] = None) -> GaloisElement:
+    def galois_by_unit(self, level: int, unit: int) -> GaloisElement:
         self._check_level(level)
         q = self.q(level)
         unit %= q
         if unit % self.p == 0:
             raise DomainError("unit must be coprime to p")
-        return GaloisElement(level, unit, q, exponent)
+        return GaloisElement(level, unit, q)
 
     def galois(self, level: int, t: int) -> GaloisElement:
         """t-th power of the distinguished generator sigma_(1+p^s) of
         Gal(K_level / K_0)."""
         g0 = 1 + self.p ** self.s
-        return self.galois_by_unit(level, pow(g0, t, self.q(level)), exponent=t)
+        return self.galois_by_unit(level, pow(g0, t, self.q(level)))
 
     def layer_generator(self, k: int, level: int) -> GaloisElement:
         """g_k = g_0^(p^k), the canonical generator of Gal(K_level / K_k)."""
         return self.galois(level, self.p ** k)
-
-    def character(self, g: GaloisElement) -> int:
-        if g.exponent is None:
-            raise DomainError("element was not built as a power of the generator")
-        return g.exponent
 
     def _act(self, level: int, unit: int, packed):
         """zeta -> zeta^unit on a packed element: the one Galois loop."""
@@ -637,16 +613,25 @@ class CyclotomicTower:
     def norm_defect(self, x: TowerElement, level: int) -> TowerElement:
         """N_{K_m/K_level}(x) - x^(p^(m-level)) in K_m, m = x.level: the
         norm's ints spread with stride p^(m-level), as `embed` places them,
-        minus the power's, at the lesser of the two caps, as `add` reads
-        them."""
+        then one `_combine` with the power."""
         stride = self.p ** (x.level - level)
-        sn, dn, norm = self._pack(self.norm_down(x, level))
-        sp, dp, power = self._pack(self.power(x, stride))
-        shift = min(sn, sp)
-        out = [-a * self.p ** (sp - shift) for a in power]
-        scale = self.p ** (sn - shift)
-        out[::stride] = [b + a * scale for b, a in zip(out[::stride], norm)]
-        return self._unpack(x.level, self._normalise(shift, min(sn + dn, sp + dp) - shift, out))
+        shift, digits, norm = self._pack(self.norm_down(x, level))
+        spread = [0] * self.phi(x.level)
+        spread[::stride] = norm
+        return self._combine(
+            self._unpack(x.level, (shift, digits, spread)), self.power(x, stride), -1
+        )
+
+    def _combine(self, x: TowerElement, y: TowerElement, sign: int) -> TowerElement:
+        """x + sign y on the triples of two elements of one level: the ints
+        are aligned to the lesser shift and summed at the lesser cap, which is
+        what `add` gives when each element has one cap."""
+        sx, dx, xs = self._pack(x)
+        sy, dy, ys = self._pack(y)
+        shift = min(sx, sy)
+        kx, ky = self.p ** (sx - shift), sign * self.p ** (sy - shift)
+        out = [a * kx + b * ky for a, b in zip(xs, ys)]
+        return self._unpack(x.level, self._normalise(shift, min(sx + dx, sy + dy) - shift, out))
 
     # -- normalized trace and perp projections ------------------------------------
 
@@ -788,16 +773,17 @@ class CyclotomicTower:
 
     def to_rho_basis(self, x: TowerElement) -> RhoExpansion:
         """Expansion x = sum_i c_i rho^i with c_i in K_0, via the trace-dual
-        basis (c_i = Tr_{K_n/K_0}(x b_i), and the trace is p^n R_0)."""
+        basis: c_i = Tr_{K_n/K_0}(x b_i) = p^n R_0(x b_i), so c_i is every
+        p^n-th int of the product's triple, its shift raised by n."""
         level = x.level
         if level == 0:
             return RhoExpansion(0, (x,))
-        duals = self._dual_data(level)
-        scale = self.p ** level
+        step = self.degree(level)
         coeffs = []
-        for b in duals:
-            prod = self.mul(x, b)
-            coeffs.append(self.normalized_trace(prod, 0) * scale)
+        for b in self._dual_data(level):
+            shift, digits, ints = self._pack(self.mul(x, b))
+            trace = self._normalise(shift + level, digits, ints[::step])
+            coeffs.append(self._unpack(0, trace))
         return RhoExpansion(level, tuple(coeffs))
 
     def from_rho_basis(self, expansion: RhoExpansion) -> TowerElement:
@@ -853,23 +839,23 @@ class CyclotomicTower:
         except ValuationOfZero:
             raise DivisionByZeroPadic("cannot invert zero at working precision")
         e = self.ramification(x.level)
-        big_t = t * e
-        r = int(big_t) % e
-        a = (int(big_t) - r) // e
+        a, r = divmod(int(t * e), e)
         if r == 0:
-            z_inv = self._invert_unit(self.scale_p(x, -a))
-            return self.scale_p(z_inv, -a)
-        dx = self._pack(x)[1]
-        shift = self.rho_power(x.level, e - r, dx + 2)
-        z = self.scale_p(self.mul(x, shift), -(a + 1))
+            return self._shift(self._invert_unit(self._shift(x, -a)), -a)
+        rho = self.rho_power(x.level, e - r, self._pack(x)[1] + 2)
+        z = self._shift(self.mul(x, rho), -(a + 1))
         if z.cap < 1:
             # val(x) lies within one digit of the cap: x rho^(e-r) is zero mod
             # the cap, so no digit of the unit part survives the shift
             raise InsufficientPrecision(
                 f"val {t} is too close to cap {x.cap} to strip rho^{r}"
             )
-        z_inv = self._invert_unit(z)
-        return self.scale_p(self.mul(z_inv, shift), -(a + 1))
+        return self._shift(self.mul(self._invert_unit(z), rho), -(a + 1))
+
+    def _shift(self, x: TowerElement, k: int) -> TowerElement:
+        """x p^k on the triple of x, read at its least cap."""
+        shift, digits, ints = self._pack(x)
+        return self._unpack(x.level, (shift + k, digits, ints))
 
     def _invert_unit(self, z: TowerElement) -> TowerElement:
         """The inverse of a unit z mod p^cap (cap = z.cap), at uniform prec cap.
@@ -890,36 +876,34 @@ class CyclotomicTower:
         it.
         """
         p, level = self.p, z.level
-        res = 0
-        for c in z.coeffs:
-            if not c.is_bottom:
-                if c.val < 0:
-                    raise DomainError("unit inversion got a non-integral element")
-                res += c.rep_mod(1)
-        res %= p
+        shift, digits, ints = self._pack(z)
+        if shift < 0 and digits:
+            raise DomainError("unit inversion got a non-integral element")
+        res = sum(ints) % p if shift == 0 else 0  # zeta = 1 mod rho
         if res == 0:
             raise DomainError("unit inversion got an element of positive valuation")
         cap = z.cap
-        y = self.constant(level, pow(res, -1, p), 1)
+        e1 = [1] + [0] * (len(ints) - 1)
+        y = self._unpack(level, (0, 1, [pow(res, -1, p)] + e1[1:]))
         z_d = self.truncate(z, 1)
-        one = self.one(level, 1)
         for _ in range(self.ramification(level).bit_length() + 1):
-            err = self.add(one, -self.mul(z_d, y))
+            err = self._combine(self._unpack(level, (0, 1, e1)), self.mul(z_d, y), -1)
             if err.is_all_bottom:
                 break
-            y = self.add(y, self.mul(y, err))
+            y = self._combine(y, self.mul(y, err), 1)
         else:
             raise InsufficientPrecision("Newton inversion did not converge mod p")
         d = 1
         while d < cap:
             new = min(2 * d, cap)
-            y = self.from_int_coeffs(level, [c.rep_mod(d) for c in y.coeffs], new)
-            err = self.add(self.one(level, new), -self.mul(self.truncate(z, new), y))
-            if pack_profile(err.coeffs)[0] < d:
+            sy, _, ys = self._pack(y)  # y mod p^d, read at cap new
+            y, z_d = self._unpack(level, (sy, new - sy, ys)), self.truncate(z, new)
+            err = self._combine(self._unpack(level, (0, new, e1)), self.mul(z_d, y), -1)
+            if self._pack(err)[0] < d:
                 raise InsufficientPrecision(
                     f"Newton residual is not zero mod p^{d} on the way to p^{new}"
                 )
-            y = self.add(y, self.mul(y, err))
+            y = self._combine(y, self.mul(y, err), 1)
             d = new
         return y
 

@@ -245,6 +245,33 @@ def test_element_file_that_is_not_json_exits_2(capsys, tmp_path):
     assert err.startswith("tower: Expecting value")
 
 
+# Files the JSON reader refuses with an error other than a decode error: an
+# array nested past the recursion limit, an int literal past Python's
+# 4300-digit conversion limit, and bytes that are not UTF-8.
+UNREADABLE_JSON = {
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long int": b"1" * 5000,
+    "not utf-8": b"\xff{}",
+}
+
+
+@pytest.mark.parametrize("data", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+@pytest.mark.parametrize(
+    "argv",
+    [["w2", "--element-file"], ["series", "--op", "invert", "--series-file"], ["build", "--config"]],
+    ids=["element", "series", "config"],
+)
+def test_unreadable_json_files_exit_2_at_once(capsys, tmp_path, argv, data):
+    # exit 1 means only "a suite failed"; a file the parser cannot read is bad
+    # input, refused in one line
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    err = rejected(capsys, *argv, str(path), *FAST)
+    assert time.perf_counter() - start < 1.0
+    assert err.startswith("tower: ") and err.endswith(f" in {path}\n") and err.count("\n") == 1
+
+
 def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
     rc, dec = run_cli(capsys, "decompose", "--random", "--seed", "5", *FAST)
     assert rc == 0

@@ -144,16 +144,24 @@ def test_galois_is_homomorphism(tw):
 def compose(g, h):
     """g after h, as one automorphism of their level."""
     assert g.level == h.level
-    expo = None if None in (g.exponent, h.exponent) else g.exponent + h.exponent
-    return GaloisElement(g.level, (g.unit * h.unit) % g.modulus, g.modulus, expo)
+    return GaloisElement(g.level, (g.unit * h.unit) % g.modulus, g.modulus)
+
+
+def inverse(g):
+    return GaloisElement(g.level, pow(g.unit, -1, g.modulus), g.modulus)
+
+
+def character(tower, g):
+    """The t < p^level with g = sigma_(1+p^s)^t, the generator's power."""
+    return next(t for t in range(tower.degree(g.level)) if tower.galois(g.level, t) == g)
 
 
 def test_galois_group_structure(tw):
     g = tw.galois(3, 1)
-    gi = g.inverse()
+    gi = inverse(g)
     x = tw.random_integral(3, random.Random(9))
     assert tw.galois_apply(gi, tw.galois_apply(g, x)) == x
-    assert tw.character(compose(g, g)) == 2
+    assert character(tw, compose(g, g)) == 2
     # order of the generator on K_n is p^n
     assert tw.galois(2, 9).unit == 1
     assert tw.galois(2, 3).unit != 1
@@ -1131,20 +1139,26 @@ def test_norm_defect_is_the_embedded_norm_minus_the_power(p, levels, prec):
                 assert got.to_json() == want.to_json(), (m, n, x)
 
 
-def test_a_ladder_rung_on_a_packed_element_builds_no_scalar(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The `PadicScalar.raw` and `__init__` calls made from here on."""
+    calls = []
+    raw, init = PadicScalar.__dict__["raw"].__func__, PadicScalar.__init__
+    monkeypatch.setattr(
+        PadicScalar, "raw", classmethod(lambda cls, *a: calls.append("raw") or raw(cls, *a))
+    )
+    monkeypatch.setattr(
+        PadicScalar, "__init__", lambda self, *a: calls.append("init") or init(self, *a)
+    )
+    return calls
+
+
+def test_a_ladder_rung_on_a_packed_element_builds_no_scalar(built):
     # the rung of `constants.norm_congruence_cell`: truncate, the defect, its
     # zero test and its valuation all stay on the packed triple
     tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
     xs = [tower.random_unit(2, random.Random(7)), tower.rho_power(2, 5)]
     assert all(x._coeffs is None for x in xs)
-    built = []
-    raw, init = PadicScalar.__dict__["raw"].__func__, PadicScalar.__init__
-    monkeypatch.setattr(
-        PadicScalar, "raw", classmethod(lambda cls, *a: built.append("raw") or raw(cls, *a))
-    )
-    monkeypatch.setattr(
-        PadicScalar, "__init__", lambda self, *a: built.append("init") or init(self, *a)
-    )
     for x in xs:
         diff = tower.norm_defect(tower.truncate(x, 8), 1)
         assert not diff.is_all_bottom
@@ -1152,3 +1166,15 @@ def test_a_ladder_rung_on_a_packed_element_builds_no_scalar(monkeypatch):
     assert built == []
     xs[0].coeffs  # the counters see the scalars that the coordinates need
     assert built.count("raw") == tower.phi(2)
+
+
+def test_invert_of_a_packed_element_builds_no_scalar(built):
+    # Newton runs on triples: a random unit and rho^5, which takes the rho
+    # shift, invert with no scalar built on the way
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
+    xs = [tower.random_unit(2, random.Random(11)), tower.rho_power(2, 5)]
+    assert all(x._coeffs is None for x in xs)
+    inverses = [tower.invert(x) for x in xs]
+    assert built == []
+    assert all(tower.mul(x, xi) == 1 for x, xi in zip(xs, inverses))
+    assert built  # the counters see the scalars that the comparison needs
