@@ -27,7 +27,6 @@ from .constants import (
     cell_rng,
     estimate_constants,
     norm_cells,
-    norm_witness_value,
     perp_basis_indices,
 )
 from .differentials import (
@@ -159,7 +158,7 @@ def _run_fonemb(tower, seed, constants, samples):
             {"cells": cells, "floor": _frozen(constants.c_norm)},
         )
     )
-    witness = norm_witness_value(tower)
+    witness = constants.c_norm_witness
     q0 = tower.p ** tower.s
     want = Fraction(q0 - 1, q0)
     out.append(

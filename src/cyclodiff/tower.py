@@ -33,33 +33,30 @@ the trace-dual basis (`_dual_data`), from the rho-coordinates of
 zeta_n^(p^n) = zeta_0, and the lattice columns of O_{K_m} at level n
 (`differentials.sublevel_columns`), from those of rho_m^i.
 
-Products, powers, conjugates, traces and norms run on one packed form, the
-triple (shift, digits, ints): every coordinate is p^shift (ints[j] +
-O(p^digits)), with the least valuation and the least cap over the coordinates
-(`pack_profile`); digits = 0 is zero at cap shift.  One kernel, `_product`,
-multiplies two triples as one big integer product (Kronecker substitution) in
-slots of w bytes, w the size of phi (p^da - 1)(p^db - 1).  When w <= 8 the
-slots are cut from and read back into little-endian 8-byte words by `struct`
-and w strided slice copies; wider slots are joined and sliced as bytes
-(`_encode`, `_decode`).  It folds the slots and normalises: it reduces mod
-p^digits and moves the common power of p into the shift, so its output is
-exactly the packed form of the product.  `mul` is one kernel call between
-`_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on triples;
-`galois_apply`, `trace_down` and `norm_down` share one Galois loop on the
-ints, `_act`.  An element whose coordinates carry different caps (only JSON
-input and hand-built elements do) is read at its least cap, as `mul` always
-read it.
+Every element has one cap.  Products, powers, conjugates, traces and norms
+run on one packed form, the triple (shift, digits, ints): every coordinate is
+p^shift (ints[j] + O(p^digits)), with the least valuation and the cap over the
+coordinates (`pack_profile`); digits = 0 is zero at cap shift.  One kernel,
+`_product`, multiplies two triples as one big integer product (Kronecker
+substitution) in slots of w bytes, w the size of phi (p^da - 1)(p^db - 1).
+When w <= 8 the slots are cut from and read back into little-endian 8-byte
+words by `struct` and w strided slice copies; wider slots are joined and
+sliced as bytes (`_encode`, `_decode`).  It folds the slots and normalises: it
+reduces mod p^digits and moves the common power of p into the shift, so its
+output is exactly the packed form of the product.  `mul` is one kernel call
+between `_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on
+triples; `galois_apply`, `trace_down` and `norm_down` share one Galois loop on
+the ints, `_act`.
 
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
-missing view on first use.  The kernels, `truncate`, `from_int_coeffs`, the
-rho transforms, `norm_defect` and `invert` return elements that hold only a
-triple; `valuation` reads it, and `coeffs` builds the `PadicScalar`s on first
-read, so a chain of packed ops builds none.  A triple is always `_pack` of the
-coordinates (cached on elements built from them), normalised by `_normalise`:
-digits = 0 or some int is prime to p.  `add`, negation, `embed`, `scale_p` and
-the projectors keep each coordinate's cap and work on the coordinates; so does
-`is_all_bottom` when they exist, since a ragged element can pack to zero at
-its least cap with a nonzero coordinate.
+missing view on first use; coordinates with different caps (JSON input,
+scalar products) are read at their least cap when the element is built, and
+only the triple is kept.  `add` and the product by a scalar work on the
+coordinates.  Every other op reads and returns the triple, normalised by
+`_normalise` (digits = 0 or some int is prime to p): `embed` spreads the ints
+with stride p^k, `scale_p` moves the shift, the projectors gather every
+p^k-th int, and `coeffs` builds the `PadicScalar`s on first read, so a chain
+of packed ops builds none.
 
 Inversion strips x = p^a rho^r u down to the unit u, each power of p a move of
 the shift, and runs Newton's method on u's triple with precision doubling:
@@ -179,9 +176,10 @@ class GaloisElement:
 
 
 class TowerElement:
-    """An element of K_level, held as its coordinates, its packed triple
+    """An element of K_level with one cap: its coordinates, its packed triple
     (shift, digits, ints), or both; a view is built from the other on first
-    use (`coeffs` here, `CyclotomicTower._pack` for the triple)."""
+    use (`coeffs` here, `CyclotomicTower._pack` for the triple).  Coordinates
+    with different caps are read at the least one and keep only the triple."""
 
     __slots__ = ("tower", "level", "_coeffs", "_packed")
 
@@ -193,34 +191,28 @@ class TowerElement:
         n = len(self._coeffs if packed is None else packed[2])
         if n != tower.phi(level):
             raise DomainError(f"level {level} needs {tower.phi(level)} coordinates, got {n}")
+        if packed is None and len({c.prec for c in self._coeffs}) > 1:
+            tower._pack(self)
+            self._coeffs = None
 
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
             shift, digits, ints = self._packed
             p, prec = self.tower.p, shift + digits
-            if digits:
-                self._coeffs = tuple(PadicScalar.raw(p, shift, a, prec) for a in ints)
-            else:
-                self._coeffs = (PadicScalar.bottom(p, shift),) * len(ints)
+            bot = PadicScalar.bottom(p, prec)
+            self._coeffs = tuple([PadicScalar.raw(p, shift, a, prec) if a else bot for a in ints])
         return self._coeffs
-
-    # coordinate-level helpers ------------------------------------------
 
     @property
     def is_all_bottom(self) -> bool:
-        # the coordinates decide when they exist: a ragged element can pack
-        # to zero at its least cap and still hold a nonzero coordinate
-        if self._coeffs is None:
-            return not self._packed[1]
-        return all(c.is_bottom for c in self._coeffs)
+        return not self.tower._pack(self)[1]
 
     @property
     def cap(self) -> int:
-        """Absolute precision floor across the coordinates."""
-        if self._packed is not None:
-            return self._packed[0] + self._packed[1]
-        return min(c.prec for c in self._coeffs)
+        """The absolute precision of every coordinate."""
+        shift, digits, _ = self.tower._pack(self)
+        return shift + digits
 
     # ring ops go through the tower so caches are shared ------------------
 
@@ -230,7 +222,9 @@ class TowerElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.tower, self.level, [-c for c in self.coeffs])
+        tower, (shift, digits, ints) = self.tower, self.tower._pack(self)
+        mod = tower.p ** digits
+        return tower._unpack(self.level, (shift, digits, [-a % mod for a in ints]))
 
     def __sub__(self, other):
         return self.tower.add(self, -other)
@@ -410,13 +404,11 @@ class CyclotomicTower:
         check_json(obj, "element json", level=int, coeffs=list)
         level = obj["level"]
         self._check_level(level)
-        coeffs = [PadicScalar.from_json(c) for c in obj["coeffs"]]
-        for c in coeffs:
-            if c.p != self.p:
-                raise DomainError(
-                    f"element json has a {c.p}-adic scalar in a {self.p}-adic tower"
-                )
-        return TowerElement(self, level, coeffs)
+        for c in obj["coeffs"]:
+            p = c.get("p") if isinstance(c, dict) else None
+            if type(p) is int and p != self.p:
+                raise DomainError(f"element json has a {p}-adic scalar in a {self.p}-adic tower")
+        return TowerElement(self, level, [PadicScalar.from_json(c) for c in obj["coeffs"]])
 
     # -- addition ------------------------------------------------------------
 
@@ -439,7 +431,7 @@ class CyclotomicTower:
 
     def _pack(self, x: TowerElement):
         """x as (shift, digits, ints): every coordinate is p^shift * (ints[j] +
-        O(p^digits)), from `pack_profile`'s least valuation and least cap.
+        O(p^digits)), from `pack_profile`'s least valuation and the cap.
         digits == 0 means zero at cap shift.  Computed once and cached on x;
         callers must not mutate the ints."""
         if x._packed is None:
@@ -510,18 +502,17 @@ class CyclotomicTower:
     # -- moving between levels ----------------------------------------------------
 
     def embed(self, x: TowerElement, level: int) -> TowerElement:
+        """x in K_level, level >= x.level: the ints spread with stride p^k; x
+        itself at its own level."""
         self._check_level(level)
         if x.level == level:
             return x
         if x.level > level:
             raise DomainError(f"cannot embed level {x.level} into lower level {level}")
-        step = self.p ** (level - x.level)
-        phi_hi = self.phi(level)
-        bot = PadicScalar.bottom(self.p, x.cap)
-        coeffs = [bot] * phi_hi
-        for j, c in enumerate(x.coeffs):
-            coeffs[j * step] = c
-        return TowerElement(self, level, coeffs)
+        shift, digits, ints = self._pack(x)
+        spread = [0] * self.phi(level)
+        spread[:: self.p ** (level - x.level)] = ints
+        return self._unpack(level, (shift, digits, spread))
 
     # -- Galois ---------------------------------------------------------------------
 
@@ -555,7 +546,7 @@ class CyclotomicTower:
         return self._normalise(shift, digits, self.fold(level, moved))
 
     def galois_apply(self, g: GaloisElement, x: TowerElement) -> TowerElement:
-        """g(x), read at the least cap of x's coordinates."""
+        """g(x) on the triple of x."""
         if g.level != x.level:
             raise DomainError("automorphism level does not match element level")
         return self._unpack(x.level, self._act(x.level, g.unit, self._pack(x)))
@@ -570,8 +561,7 @@ class CyclotomicTower:
     def _fold_conjugates(self, x: TowerElement, level: int, combine, what: str):
         """Combine the conjugates of x one layer at a time down to ``level``
         (``combine(layer, conjugates)`` on packed elements), restricting after
-        each layer.  x is packed once, at its least cap, and the result
-        unpacked once."""
+        each layer.  x is packed once and the result unpacked once."""
         self._check_level(level)
         if level > x.level:
             raise DomainError(f"{what} target above element level")
@@ -599,33 +589,25 @@ class CyclotomicTower:
         return self._normalise(shift, digits, sums)
 
     def trace_down(self, x: TowerElement, level: int) -> TowerElement:
-        """Tr_{K_m/K_level}(x) by honest conjugate sums, one layer at a time,
-        read at the least cap of x's coordinates."""
+        """Tr_{K_m/K_level}(x) by honest conjugate sums, one layer at a time."""
         return self._fold_conjugates(x, level, self._sum, "trace")
 
     def norm_down(self, x: TowerElement, level: int) -> TowerElement:
-        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a
-        time, read at the least cap of x's coordinates."""
+        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a time."""
         return self._fold_conjugates(
             x, level, lambda top, cs: reduce(partial(self._product, top), cs), "norm"
         )
 
     def norm_defect(self, x: TowerElement, level: int) -> TowerElement:
         """N_{K_m/K_level}(x) - x^(p^(m-level)) in K_m, m = x.level: the
-        norm's ints spread with stride p^(m-level), as `embed` places them,
-        then one `_combine` with the power."""
-        stride = self.p ** (x.level - level)
-        shift, digits, norm = self._pack(self.norm_down(x, level))
-        spread = [0] * self.phi(x.level)
-        spread[::stride] = norm
-        return self._combine(
-            self._unpack(x.level, (shift, digits, spread)), self.power(x, stride), -1
-        )
+        embedded norm and the power in one `_combine`."""
+        norm = self.embed(self.norm_down(x, level), x.level)
+        return self._combine(norm, self.power(x, self.degree(x.level, level)), -1)
 
     def _combine(self, x: TowerElement, y: TowerElement, sign: int) -> TowerElement:
         """x + sign y on the triples of two elements of one level: the ints
-        are aligned to the lesser shift and summed at the lesser cap, which is
-        what `add` gives when each element has one cap."""
+        are aligned to the lesser shift and summed at the lesser cap, as `add`
+        sums the coordinates."""
         sx, dx, xs = self._pack(x)
         sy, dy, ys = self._pack(y)
         shift = min(sx, sy)
@@ -642,21 +624,25 @@ class CyclotomicTower:
         divisible by p^(m-level); the denominator p^(m-level) never appears,
         which is what makes the perp decomposition below exact.
         """
-        self._check_level(level)
-        if level >= x.level:
-            return self.embed(x, level) if x.level < level else x
-        return TowerElement(self, level, x.coeffs[:: self.p ** (x.level - level)])
+        return self._gather(x, level, False)
 
     def perp_project(self, x: TowerElement, level: int) -> TowerElement:
         """R_level - R_(level-1) for level >= 1; R_0 itself for level 0.
-        Result lives at `level`: slot j of the R_level gather is kept when p
-        does not divide j, and is bottom at its own cap otherwise."""
-        trace = self.normalized_trace(x, level)
-        if level == 0:
-            return trace
-        p = self.p
-        kept = [c if j % p else PadicScalar.bottom(p, c.prec) for j, c in enumerate(trace.coeffs)]
-        return TowerElement(self, level, kept)
+        Result lives at `level`: the R_level gather with the slots divisible
+        by p cleared."""
+        return self._gather(x, level, level > 0)
+
+    def _gather(self, x: TowerElement, level: int, perp: bool) -> TowerElement:
+        """Every p^(m-level)-th int of x's triple, m = x.level (x embedded
+        when level >= m), with the slots divisible by p cleared if ``perp``."""
+        self._check_level(level)
+        if level >= x.level:
+            x = self.embed(x, level)
+        shift, digits, ints = self._pack(x)
+        ints = ints[:: self.p ** (x.level - level)]
+        if perp:
+            ints = [a if j % self.p else 0 for j, a in enumerate(ints)]
+        return self._unpack(level, self._normalise(shift, digits, ints))
 
     # -- exact valuation ------------------------------------------------------------
 
@@ -693,15 +679,10 @@ class CyclotomicTower:
 
     def from_rho_power_coords(self, level: int, coords) -> TowerElement:
         """sum_k coords[k] rho_level^k over Q_p, the inverse of
-        `rho_power_coords`, read at the least cap of the coords."""
+        `rho_power_coords`; coords with different caps are read at the least
+        one, as an element's coordinates are."""
         self._check_level(level)
-        phi = self.phi(level)
-        if len(coords) != phi:
-            raise DomainError(f"need {phi} coordinates, got {len(coords)}")
-        shift, digits = pack_profile(coords)
-        if not digits:
-            return self.zero(level, shift)
-        ints = [c.rep_mod(digits, shift) for c in coords]
+        shift, digits, ints = self._pack(TowerElement(self, level, coords))
         out = [a for _, a in self._rho_digits(ints, digits, inverse=True)]
         return self._unpack(level, (shift, digits, out))
 
@@ -711,8 +692,8 @@ class CyclotomicTower:
 
         Works through the rho-power coordinates c_k: because the fractional
         parts k/e are pairwise distinct, val(x) = min_k (val_p(c_k) + k/e)
-        with a unique minimizer.  The transform runs once, at the least cap
-        of x, and stops at the first k past the best score so far.
+        with a unique minimizer.  The transform runs once, at the cap of x,
+        and stops at the first k past the best score so far.
         """
         e = self.ramification(x.level)
         sx, dx, ints = self._pack(x)
@@ -773,18 +754,12 @@ class CyclotomicTower:
 
     def to_rho_basis(self, x: TowerElement) -> RhoExpansion:
         """Expansion x = sum_i c_i rho^i with c_i in K_0, via the trace-dual
-        basis: c_i = Tr_{K_n/K_0}(x b_i) = p^n R_0(x b_i), so c_i is every
-        p^n-th int of the product's triple, its shift raised by n."""
+        basis: c_i = Tr_{K_n/K_0}(x b_i) = p^n R_0(x b_i)."""
         level = x.level
         if level == 0:
             return RhoExpansion(0, (x,))
-        step = self.degree(level)
-        coeffs = []
-        for b in self._dual_data(level):
-            shift, digits, ints = self._pack(self.mul(x, b))
-            trace = self._normalise(shift + level, digits, ints[::step])
-            coeffs.append(self._unpack(0, trace))
-        return RhoExpansion(level, tuple(coeffs))
+        traces = [self.normalized_trace(self.mul(x, b), 0) for b in self._dual_data(level)]
+        return RhoExpansion(level, tuple(self.scale_p(c, level) for c in traces))
 
     def from_rho_basis(self, expansion: RhoExpansion) -> TowerElement:
         """sum_i c_i rho_n^i for level-0 coefficients c_i, read at their least
@@ -815,8 +790,7 @@ class CyclotomicTower:
     def truncate(self, x: TowerElement, digits: int) -> TowerElement:
         """x with every coordinate cut to absolute precision p^digits; x
         itself when digits is its cap.  Raising the cap is not possible.  The
-        packed ints are cut mod p^(digits - shift): digits is at most the
-        least cap, so even ragged input gives one cap."""
+        packed ints are cut mod p^(digits - shift)."""
         if digits == x.cap:
             return x
         if digits > x.cap:
@@ -825,8 +799,9 @@ class CyclotomicTower:
         return self._unpack(x.level, self._normalise(shift, digits - shift, ints))
 
     def scale_p(self, x: TowerElement, k: int) -> TowerElement:
-        """Multiply by the exact power p**k (coordinate shifts, no rounding)."""
-        return TowerElement(self, x.level, [c.shift(k) for c in x.coeffs])
+        """x p^k, exactly: the triple's shift moves by k."""
+        shift, digits, ints = self._pack(x)
+        return self._unpack(x.level, (shift + k, digits, ints))
 
     def invert(self, x: TowerElement) -> TowerElement:
         """x^-1 via the exact factorization x = p^a rho^r u: strip the p and
@@ -841,21 +816,16 @@ class CyclotomicTower:
         e = self.ramification(x.level)
         a, r = divmod(int(t * e), e)
         if r == 0:
-            return self._shift(self._invert_unit(self._shift(x, -a)), -a)
+            return self.scale_p(self._invert_unit(self.scale_p(x, -a)), -a)
         rho = self.rho_power(x.level, e - r, self._pack(x)[1] + 2)
-        z = self._shift(self.mul(x, rho), -(a + 1))
+        z = self.scale_p(self.mul(x, rho), -(a + 1))
         if z.cap < 1:
             # val(x) lies within one digit of the cap: x rho^(e-r) is zero mod
             # the cap, so no digit of the unit part survives the shift
             raise InsufficientPrecision(
                 f"val {t} is too close to cap {x.cap} to strip rho^{r}"
             )
-        return self._shift(self.mul(self._invert_unit(z), rho), -(a + 1))
-
-    def _shift(self, x: TowerElement, k: int) -> TowerElement:
-        """x p^k on the triple of x, read at its least cap."""
-        shift, digits, ints = self._pack(x)
-        return self._unpack(x.level, (shift + k, digits, ints))
+        return self.scale_p(self.mul(self._invert_unit(z), rho), -(a + 1))
 
     def _invert_unit(self, z: TowerElement) -> TowerElement:
         """The inverse of a unit z mod p^cap (cap = z.cap), at uniform prec cap.

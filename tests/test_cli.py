@@ -287,6 +287,14 @@ def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
     series_file = _write(tmp_path / "bad-series.json", dec["series"])
     err = rejected(capsys, "series", "--op", "invert", "--series-file", series_file, *FAST)
     assert "5-adic scalar in a 3-adic tower" in err
+    # the prime is compared before any scalar is built: at p = 10^600 a
+    # scalar with 8192 digits would take seconds to reduce
+    big = {"p": 10**600, "val": -4096, "unit": 1, "prec": 4096}
+    element_file = _write(tmp_path / "big-p.json", {"level": 1, "coeffs": [big] * 6})
+    start = time.perf_counter()
+    err = rejected(capsys, "w2", "--element-file", element_file, *FAST)
+    assert time.perf_counter() - start < 1.0
+    assert f"{10**600}-adic scalar in a 3-adic tower" in err
 
 
 @pytest.mark.parametrize(
@@ -324,32 +332,26 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["kind"] == "tower"
 
 
-# 9 + O(3) zeta on the tower p = 3, 1 level, prec 6: coordinate 0 is 9 at cap
-# 6, coordinate 1 is bottom at cap 1, the rest are bottom at cap 6.  Its least
-# cap leaves no digit, yet coordinate 0 is not bottom.  These outputs are the
-# library's answers before elements kept their packed form; whether such input
-# should be cut or refused at load is a separate decision.
-RAGGED_W2 = (
-    '{\n  "kind": "w2",\n  "level": 1,\n  "library_version": "0.1.0",\n  "seed": 0,\n'
-    '  "tower": {\n    "max_level": 1,\n    "p": 3,\n    "prec": 6,\n    "s": 1,\n'
-    '    "top_degree": 6\n  },\n  "w2": 2\n}\n'
-)
-
-
-def test_a_ragged_element_keeps_its_answers(capsys, tmp_path):
+def test_a_ragged_element_is_read_at_its_least_cap(capsys, tmp_path):
+    # 9 + O(3) zeta on the tower p = 3, 1 level, prec 6: coordinate 0 is 9 at
+    # cap 6, coordinate 1 is bottom at cap 1, the rest are bottom at cap 6.
+    # An element has one cap, so it loads at the least one, where no digit is
+    # left.  Every perp component vanishes, so w2 refuses in one line; it used
+    # to report 2, yet the lift 9 + 3 zeta agrees with the input and has w2 0.
     tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=6))
     bottom = {"p": 3, "val": None, "unit": 0, "prec": 6}
     obj = {"level": 1, "coeffs": [{"p": 3, "val": 2, "unit": 1, "prec": 6},
                                   dict(bottom, prec=1)] + [bottom] * 4}
     x = tower.element_from_json(obj)
-    for _ in range(2):  # before and after a product has packed x
-        assert (x.is_all_bottom, x.cap, x.to_json()) == (False, 1, obj)
+    cut = {"level": 1, "coeffs": [dict(bottom, prec=1)] * 6}
+    for _ in range(2):  # before and after a product has read x
+        assert (x.is_all_bottom, x.cap, x.to_json()) == (True, 1, cut)
         tower.mul(x, tower.one(1))
     assert tower.truncate(x, 1) is x
     for digits in (0, -1):
-        cut = tower.truncate(x, digits)
-        assert cut.to_json()["coeffs"] == [c.truncate(digits).to_json() for c in x.coeffs]
-        assert (cut.is_all_bottom, cut.cap) == (True, digits)
+        low = tower.truncate(x, digits)
+        assert low.to_json()["coeffs"] == [c.truncate(digits).to_json() for c in x.coeffs]
+        assert (low.is_all_bottom, low.cap) == (True, digits)
     argv = ["w2", "--element-file", _write(tmp_path / "ragged.json", obj)]
-    assert main(argv + ["--p", "3", "--levels", "1", "--prec", "6"]) == 0
-    assert capsys.readouterr().out == RAGGED_W2
+    err = rejected(capsys, *argv, "--p", "3", "--levels", "1", "--prec", "6")
+    assert err == "tower: all perp components vanish to working precision\n"

@@ -1101,8 +1101,16 @@ def test_packed_results_hold_the_triple_of_their_coordinates(case, data):
         ("galois_apply", tower.galois_apply(tower.galois(level, 1), x)),
         ("from_int_coeffs", tower.from_int_coeffs(level, ints, data.draw(st.integers(-2, 10)))),
         ("from_rho_power_coords", tower.from_rho_power_coords(level, tower.rho_power_coords(x))),
+        ("negation", -x),
+        ("scale_p", tower.scale_p(x, data.draw(st.integers(-3, 3)))),
     ]
     results += [(f"truncate {d}", tower.truncate(x, d)) for d in range(x.cap - 3, x.cap)]
+    for target in range(tower.max_level + 1):
+        results += [
+            (f"normalized_trace {target}", tower.normalized_trace(x, target)),
+            (f"perp_project {target}", tower.perp_project(x, target)),
+        ]
+    results += [(f"embed {t}", tower.embed(x, t)) for t in range(level + 1, tower.max_level + 1)]
     for target in range(level):
         results += [
             (f"norm_down {target}", tower.norm_down(x, target)),
@@ -1113,6 +1121,22 @@ def test_packed_results_hold_the_triple_of_their_coordinates(case, data):
         results.append(("from_rho_basis", tower.from_rho_basis(tower.to_rho_basis(x))))
     for what, y in results:
         assert_packed_view(tower, y, what)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.data())
+def test_ragged_scalars_are_cut_to_their_least_cap(key, data):
+    # an element has one cap: built from scalars whose caps differ, it is the
+    # element built from each scalar truncated to the least cap
+    tower = SMALL[key]
+    level = data.draw(st.integers(0, tower.max_level))
+    coeffs = [ragged_scalar(data.draw, tower.p, tower.prec + 3) for _ in range(tower.phi(level))]
+    coeffs = [c.shift(data.draw(st.integers(-2, 2))) for c in coeffs]
+    cap = min(c.prec for c in coeffs)
+    x = TowerElement(tower, level, coeffs)
+    cut = TowerElement(tower, level, [c.truncate(cap) for c in coeffs])
+    assert x.to_json() == cut.to_json()
+    assert (x.cap, x.is_all_bottom) == (cap, all(c.is_bottom for c in cut.coeffs))
 
 
 def norm_defect_inputs(tower, m):
