@@ -28,10 +28,11 @@ shift with no binomial table: pass k turns the entries from k up into their
 suffix sums, and coordinate k is final after it.  `rho_power_coords` takes
 every coordinate, `valuation` stops at the first index past its best score,
 and every sum_k c_k rho^k, over Q_p (`from_rho_power_coords`) or over K_0
-(`from_rho_basis`), runs it backwards.  It also gives the quotients behind
-the trace-dual basis (`_dual_data`), from the rho-coordinates of
-zeta_n^(p^n) = zeta_0, and the lattice columns of O_{K_m} at level n
-(`differentials.sublevel_columns`), from those of rho_m^i.
+(`from_rho_basis`), runs it backwards.  It also gives the lattice columns of
+O_{K_m} at level n (`differentials.sublevel_columns`), from rho_m^i.  The way
+to K_0-coefficients, `to_rho_basis`, is Euler's formula instead: one product
+by g'(rho)^-1, then rho-shifts and integer sums against the quotients of the
+minimal polynomial.
 
 Every element has one cap.  Products, powers, conjugates, traces and norms
 run on one packed form, the triple (shift, digits, ints): every coordinate is
@@ -77,7 +78,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import (
@@ -731,41 +732,52 @@ class CyclotomicTower:
         return self.from_int_coeffs(level, coeffs, prec)
 
     def _dual_data(self, level: int):
-        """Cached trace-dual basis b_i = q_i / g'(rho) for the rho-power basis
-        over K_0, q_i = sum_(k>i) g_k rho^(k-i-1) the quotients of the minimal
-        polynomial g = (1 + sX)^d - 1 - s rho_0 (d = p^n) by X - rho; for
-        k >= 1, g_k is rho-coordinate k of zeta^d = zeta_0 (d < phi)."""
+        """(g'(rho)^-1, rows), cached.  By Euler's formula the trace-dual basis of
+        1, rho, ..., rho^(d-1) over K_0 is q_i / g'(rho), q_i = sum_(k>i) g_k
+        rho^(k-i-1) the quotients of g = (1 + sX)^d - 1 - s rho_0 (d = p^n) by
+        X - rho; g_k = C(d, k) s^k (rho-coordinate k of zeta^d = zeta_0), and row
+        i is the normalised triple of (g_(i+1), ..., g_d) at the working prec."""
         got = self._dual_basis.get(level)
-        if got is not None:
-            return got
-        d, phi = self.degree(level), self.phi(level)
-        z = self.rho_power_coords(self.zeta(level, d))
-        bot = PadicScalar.bottom(self.p, self.prec)
-        quots = [
-            self.from_rho_power_coords(level, z[i + 1 : d + 1] + [bot] * (phi - d + i))
-            for i in range(d)
-        ]
-        # extra headroom so dividing by p^level costs no working digits
-        gp = self.minpoly_derivative_at_rho(level, self.prec + level)
-        gp_inv = self.invert(gp)
-        duals = tuple(self.mul(qi, gp_inv) for qi in quots)
-        self._dual_basis[level] = duals
-        return duals
+        if got is None:
+            d, s = self.degree(level), -1 if self.p == 2 else 1
+            g = [c * s ** k for k, c in enumerate(_comb_row(d))]
+            rows = [self._normalise(0, self.prec, g[i + 1 :]) for i in range(d)]
+            # extra headroom so dividing by p^level costs no working digits
+            gp = self.minpoly_derivative_at_rho(level, self.prec + level)
+            got = self._dual_basis[level] = self.invert(gp), rows
+        return got
 
     def to_rho_basis(self, x: TowerElement) -> RhoExpansion:
-        """Expansion x = sum_i c_i rho^i with c_i in K_0, via the trace-dual
-        basis: c_i = Tr_{K_n/K_0}(x b_i) = p^n R_0(x b_i)."""
+        """Expansion x = sum_i c_i rho^i with c_i in K_0, by Euler's formula
+        (`_dual_data`): c_i = Tr_{K_n/K_0}(y q_i) = p^n R_0(y q_i) for the one
+        product y = x g'(rho)^-1.  y q_i = sum_k row_i[k] y rho^k, so lane t of
+        R_0(y q_i) sums row i against int d t of y, y rho, ..., y rho^(d-1);
+        y rho is y shifted one slot through `fold`, minus y (the reverse at
+        p = 2).  The cap is that of the product y q_i, min(d_y, d_q) digits
+        above the shift s_y + s_q, and p^n moves the shift."""
         level = x.level
         if level == 0:
             return RhoExpansion(0, (x,))
-        traces = [self.normalized_trace(self.mul(x, b), 0) for b in self._dual_data(level)]
-        return RhoExpansion(level, tuple(self.scale_p(c, level) for c in traces))
+        d = self.degree(level)
+        gp_inv, rows = self._dual_data(level)
+        sy, dy, ints = self._pack(self.mul(x, gp_inv))
+        gathers = [ints[::d]]
+        for _ in range(d - 1):
+            zy = self.fold(level, [0, *ints])
+            ints = list(map(sub, ints, zy) if self.p == 2 else map(sub, zy, ints))
+            gathers.append(ints[::d])
+        lanes = list(zip(*gathers))
+        coeffs = []
+        for sq, dq, row in rows:
+            lane = [sum(map(mul, row, t)) for t in lanes]
+            coeffs.append(self._unpack(0, self._normalise(sy + level + sq, min(dy, dq), lane)))
+        return RhoExpansion(level, tuple(coeffs))
 
     def from_rho_basis(self, expansion: RhoExpansion) -> TowerElement:
-        """sum_i c_i rho_n^i for level-0 coefficients c_i, read at their least
-        cap.  zeta_n^d = zeta_0 for d = p^n, so the zeta_n-coordinate i + d t
-        of the sum is coordinate i of the inverse Pascal transform of lane t,
-        (c_0[t], ..., c_(d-1)[t])."""
+        """sum_i c_i rho_n^i for level-0 coefficients c_i, read through their
+        triples at the least shift and cap.  zeta_n^d = zeta_0 for d = p^n, so
+        the zeta_n-coordinate i + d t of the sum is coordinate i of the inverse
+        Pascal transform of lane t, (c_0[t], ..., c_(d-1)[t])."""
         level, coeffs = expansion.level, expansion.coeffs
         self._check_level(level)
         d = self.degree(level)
@@ -775,14 +787,15 @@ class CyclotomicTower:
             raise DomainError("rho expansion coefficients must lie in K_0")
         if level == 0:
             return coeffs[0]
-        shift, digits = pack_profile([a for c in coeffs for a in c.coeffs])
+        packs = [self._pack(c) for c in coeffs]
+        shift = min(sc for sc, _, _ in packs)
+        digits = min(sc + dc for sc, dc, _ in packs) - shift
         if not digits:
             return self.zero(level, shift)
-        out = [0] * self.phi(level)
-        for t in range(self.phi(0)):
-            lane = [c.coeffs[t].rep_mod(digits, shift) for c in coeffs]
-            for i, a in self._rho_digits(lane, digits, inverse=True):
-                out[i + d * t] = a
+        cols = [[a * self.p ** (sc - shift) for a in ints] for sc, _, ints in packs]
+        out = []
+        for lane in zip(*cols):
+            out += [a for _, a in self._rho_digits(lane, digits, inverse=True)]
         return self._unpack(level, (shift, digits, out))
 
     # -- inversion -----------------------------------------------------------------------

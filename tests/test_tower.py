@@ -560,11 +560,28 @@ def test_from_rho_basis_rejects_bad_coefficients(tw):
 
 
 def test_dual_basis_matches_the_quotient_recursion(tw2):
+    # to_rho_basis against c_i = p^n R_0(x b_i) for the trace-dual basis b_i
+    # of the quotient recursion, byte for byte and so at the same caps
     for tower in (*SMALL.values(), tw2):
         fresh = CyclotomicTower(tower.params)
-        for level in range(1, tower.max_level + 1):
-            got = [b.to_json() for b in fresh._dual_data(level)]
-            assert got == [b.to_json() for b in dual_basis_oracle(tower, level)]
+        rng = random.Random(tower.p)
+        for n in range(1, tower.max_level + 1):
+            duals = dual_basis_oracle(tower, n)
+            unit = tower.random_unit(n, rng)
+            xs = [
+                tower.random_integral(n, rng),
+                tower.truncate(unit, tower.prec // 2),
+                tower.scale_p(tower.mul(unit, tower.rho_power(n, 3)), 2),
+                tower.embed(tower.random_unit(n - 1, rng), n),
+                tower.truncate(tower.scale_p(unit, 3), 2),  # all bottom at cap 2
+            ]
+            for x in xs:
+                got = [c.to_json() for c in fresh.to_rho_basis(x).coeffs]
+                want = [
+                    tower.scale_p(tower.normalized_trace(tower.mul(x, b), 0), n).to_json()
+                    for b in duals
+                ]
+                assert got == want, (tower.p, n, x)
 
 
 def test_truncate(tw):
@@ -1202,3 +1219,23 @@ def test_invert_of_a_packed_element_builds_no_scalar(built):
     assert built == []
     assert all(tower.mul(x, xi) == 1 for x, xi in zip(xs, inverses))
     assert built  # the counters see the scalars that the comparison needs
+
+
+def test_a_rho_expansion_of_a_packed_element_makes_one_product(built, monkeypatch):
+    # once g'(rho)^-1 is cached, the expansion is one `mul` and sums on ints,
+    # and the way back reads the coefficients' triples: no scalar is built
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
+    products, mul = [], CyclotomicTower.mul
+    monkeypatch.setattr(CyclotomicTower, "mul", lambda *a: products.append(a) or mul(*a))
+    for n in (1, 2):
+        tower.to_rho_basis(tower.one(n))  # warm the cache
+        rng = random.Random(n)
+        xs = [tower.random_unit(n, rng), tower.rho_power(n, 5), tower.zero(n, 7)]
+        assert all(x._coeffs is None for x in xs)
+        for x in xs:
+            products.clear()
+            built.clear()
+            back = tower.from_rho_basis(tower.to_rho_basis(x))
+            assert len(products) == 1
+            assert built == []
+            assert back.to_json() == x.to_json()
