@@ -5,8 +5,9 @@ Every constant is computed from tower data, never assumed:
 * a, b bound the drift of the relative different, |val(d_n) - n - b| <= a/p^n;
 * c_norm is the norm-congruence floor min val(N(x)/x^deg - 1) over basis
   elements and seeded random units, cell by cell (n, k).  Each element is
-  drawn at full precision and evaluated at 8 digits first; the digits
-  double only while N(x) - x^deg is all bottom.  The ladder is exact: a
+  drawn at full precision and evaluated at 8 digits first, a unit at
+  max(1, ceil(floor so far)) once there is one; the digits double only
+  while N(x) - x^deg is all bottom.  The ladder is exact: a
   difference that is not all bottom has the valuation of every lift of the
   truncated x, since every tower op keeps a sound cap;
 * m_c is the smallest m with p^m c_norm >= 1/(p-1);
@@ -76,14 +77,18 @@ def norm_congruence_cell(
     the top field and `samples` seeded random units.
 
     Each x is drawn at full precision and evaluated on a precision ladder:
-    x truncated to 8 digits, then 16, 32, ... and the cap, climbing only
-    while the difference N(x) - x^(p^k) is all bottom.  A difference that is
-    not all bottom has an exact valuation, shared by every lift of the
-    truncated x, the full-precision x included, because every tower op keeps
-    a sound cap.  An all-bottom difference whose cap cannot beat the floor
-    found so far ends the climb early.  The draws, the truncations and the
-    difference (`CyclotomicTower.norm_defect`) stay packed triples, so a rung
-    builds no `PadicScalar`.
+    x truncated to d digits, then 2d, 4d, ... and the cap, climbing only
+    while N(x) - x^(p^k) is all bottom.  d is 8 (a basis element's products
+    lose relative precision), except for a unit once a floor c is known: its
+    difference has cap d = max(1, ceil(c)), so an all-bottom first rung
+    shows that it cannot lower the floor.  The schedule does not change the
+    cell.  A difference that is not all bottom has an exact valuation, shared
+    by every lift of the truncated x, because every tower op keeps a sound
+    cap; an all-bottom one bounds the full difference's valuation below by
+    its cap, so a climb ends early only for an x that cannot beat the floor
+    so far; and the full-cap rung is the same on any schedule.  The draws,
+    the truncations and the difference (`CyclotomicTower.norm_defect`) stay
+    packed triples, so a rung builds no `PadicScalar`.
     """
     m = n + k
     deg = tower.p ** k
@@ -92,7 +97,7 @@ def norm_congruence_cell(
 
     def consider(x, val_x: Fraction):
         nonlocal best
-        digits = min(8, x.cap)
+        digits = min(8 if val_x or best is None else max(1, math.ceil(best)), x.cap)
         while True:
             xd = tower.truncate(x, digits)
             diff = tower.norm_defect(xd, n)

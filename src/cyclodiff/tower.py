@@ -19,15 +19,16 @@ rho_n = 1 - zeta_n for p = 2; both satisfy N_{K_(n+1)/K_n}(rho_(n+1)) = rho_n
 exactly (the sign flip at p = 2 is what keeps the chain norm compatible).
 val is normalized so val(p) = 1, hence val(rho_n) = 1/phi.
 
-Valuations are exact, not estimated: the transform from zeta-coordinates to
-the rho-power basis over Q_p is unipotent-triangular (a Pascal matrix), and
-the rho-power basis splits valuations because k/phi are pairwise distinct
-mod 1 for 0 <= k < phi.  One generator, `_rho_digits`, runs that transform
-on plain ints in both directions (the inverse only adds signs) as a Taylor
-shift with no binomial table: pass k turns the entries from k up into their
-suffix sums, and coordinate k is final after it.  `rho_power_coords` takes
-every coordinate, `valuation` stops at the first index past its best score,
-and every sum_k c_k rho^k, over Q_p (`from_rho_power_coords`) or over K_0
+Valuations are exact, not estimated, and read from x mod p alone: O/p is
+F_p[X]/((X - 1)^phi) with zeta -> X, so val(x) is the shift plus k/phi, k
+the multiplicity of X = 1 in the ints mod p, which `valuation` finds by
+dividing by X^(p^j) - 1 = (X - 1)^(p^j).  The transform from zeta-coordinates
+to the rho-power basis over Q_p is unipotent-triangular (a Pascal matrix).  One
+generator, `_rho_digits`, runs it on plain ints in both directions (the
+inverse only adds signs) as a Taylor shift with no binomial table: pass k
+turns the entries from k up into their suffix sums, and coordinate k is
+final after it.  `rho_power_coords` takes every coordinate, and every
+sum_k c_k rho^k, over Q_p (`from_rho_power_coords`) or over K_0
 (`from_rho_basis`), runs it backwards.  It also gives the lattice columns of
 O_{K_m} at level n (`differentials.sublevel_columns`), from rho_m^i.  The way
 to K_0-coefficients, `to_rho_basis`, is Euler's formula instead: one product
@@ -76,7 +77,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 from operator import add, mul, sub
 from typing import Optional
@@ -648,8 +649,8 @@ class CyclotomicTower:
     # -- exact valuation ------------------------------------------------------------
 
     def _rho_digits(self, ints, digits: int, inverse: bool = False):
-        """Yield (k, c_k mod p^digits) for k < len(ints): the Pascal transform
-        from zeta- to rho-coordinates of ints, or back with inverse=True.
+        """Yield c_k mod p^digits for k < len(ints): the Pascal transform from
+        zeta- to rho-coordinates of ints, or back with inverse=True.
 
         zeta = 1 + s rho with s = 1 (odd p) or -1 (p = 2), so the way there is
         c_k = s^k sum_(j>=k) C(j,k) a_j, and rho = s (zeta - 1) gives the way
@@ -659,7 +660,6 @@ class CyclotomicTower:
         entries from k up into their suffix sums, after which entry j holds
         sum_(i>=j) C(i-j+k, k) a_i, so entry k is final.  The ints are kept
         reversed and exact: each pass is one `accumulate`, and pops entry k.
-        Callers that need only a prefix break out of the loop.
         """
         mod = self.p ** digits
         odd = self.p != 2
@@ -669,14 +669,14 @@ class CyclotomicTower:
         rev = ints[::-1]
         for k in range(len(rev)):
             *rev, c = accumulate(rev)
-            yield k, (-c if flip and k & 1 else c) % mod
+            yield (-c if flip and k & 1 else c) % mod
 
     def rho_power_coords(self, x: TowerElement):
         """Q_p coordinates of x in the basis 1, rho, ..., rho^(phi-1)."""
         sx, dx, ints = self._pack(x)
         if not dx:
             return [PadicScalar.bottom(self.p, sx)] * self.phi(x.level)
-        return [PadicScalar.raw(self.p, sx, c, sx + dx) for _, c in self._rho_digits(ints, dx)]
+        return [PadicScalar.raw(self.p, sx, c, sx + dx) for c in self._rho_digits(ints, dx)]
 
     def from_rho_power_coords(self, level: int, coords) -> TowerElement:
         """sum_k coords[k] rho_level^k over Q_p, the inverse of
@@ -684,31 +684,36 @@ class CyclotomicTower:
         one, as an element's coordinates are."""
         self._check_level(level)
         shift, digits, ints = self._pack(TowerElement(self, level, coords))
-        out = [a for _, a in self._rho_digits(ints, digits, inverse=True)]
+        out = list(self._rho_digits(ints, digits, inverse=True))
         return self._unpack(level, (shift, digits, out))
 
     def valuation(self, x: TowerElement) -> Fraction:
         """Exact valuation with val(p) = 1; raises ValuationOfZero when the
         element is indistinguishable from zero at its precision.
 
-        Works through the rho-power coordinates c_k: because the fractional
-        parts k/e are pairwise distinct, val(x) = min_k (val_p(c_k) + k/e)
-        with a unique minimizer.  The transform runs once, at the cap of x,
-        and stops at the first k past the best score so far.
+        O/p = F_p[X]/((X - 1)^phi) with zeta -> X, and after `_normalise` the
+        ints mod p are a nonzero f of degree < phi, so val(x) = shift + k/phi
+        at any cap, k < phi the multiplicity of X = 1 in f.  Over F_p,
+        X^m - 1 = (X - 1)^m for m = p^j.  From m = h = p^(level+s-1) down, one
+        `accumulate` over f's (at most p) blocks of m gives f mod X^m - 1, the
+        residue-class sums, and the quotient, the strided suffix sums.  If the
+        classes are 0 mod p, f becomes the quotient and k grows by m; if not,
+        k < m, so f becomes the classes, of the same multiplicity, and m drops
+        to m/p.  A unit costs one sum.
         """
-        e = self.ramification(x.level)
         sx, dx, ints = self._pack(x)
         if not dx:
             raise ValuationOfZero("element is zero at working precision")
-        # best: the least val_p(c_k) * e + k; dx * e exceeds every score, and
-        # some c_k is nonzero, as the unipotent transform keeps x's unit digit
-        best = dx * e
-        for k, c in self._rho_digits(ints, dx):
-            if c:
-                best = min(best, vp(c, self.p) * e + k)
-            if best <= k:
-                break  # every later k scores more than best
-        return Fraction(sx * e + best, e)
+        p, phi = self.p, len(ints)
+        f, k, m = ints, 0, self.h(x.level)  # f is read mod p: no reduction needed
+        while m and sum(f) % p == 0:  # len(f) stays a multiple of m
+            blocks = reversed([f[i : i + m] for i in range(0, len(f), m)])
+            *quotient, classes = accumulate(blocks, lambda a, b: [*map(add, a, b)])
+            if any(c % p for c in classes):
+                f, m = classes, m // p
+            else:
+                f, k = [*chain.from_iterable(quotient[::-1])], k + m
+        return Fraction(sx * phi + k, phi)
 
     # -- the minimal polynomial over Q_p and the rho expansion ------------------------
 
@@ -795,7 +800,7 @@ class CyclotomicTower:
         cols = [[a * self.p ** (sc - shift) for a in ints] for sc, _, ints in packs]
         out = []
         for lane in zip(*cols):
-            out += [a for _, a in self._rho_digits(lane, digits, inverse=True)]
+            out += self._rho_digits(lane, digits, inverse=True)
         return self._unpack(level, (shift, digits, out))
 
     # -- inversion -----------------------------------------------------------------------
@@ -904,8 +909,8 @@ class CyclotomicTower:
         """The draw of `random_integral`, plus 1 when it is 0 mod rho: zeta =
         1 mod rho, so x mod rho is the sum of the coordinates mod p."""
         self._check_level(level)
-        prec = self.prec if prec is None else prec
-        ints = [rng.randrange(self.p ** prec) for _ in range(self.phi(level))]
+        m = self.p ** (self.prec if prec is None else prec)
+        ints = [rng.randrange(m) for _ in range(self.phi(level))]
         if sum(ints) % self.p == 0:
             ints[0] += 1
         return self.from_int_coeffs(level, ints, prec)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -200,7 +201,7 @@ def full_precision_cell(tower, n, k, seed, samples):
     return best
 
 
-LADDER_TOWERS = [(2, 2, 3, 12), (3, 1, 2, 12), (3, 1, 3, 24), (5, 1, 2, 10)]
+LADDER_TOWERS = [(2, 2, 3, 12), (3, 1, 2, 12), (3, 1, 3, 24), (5, 1, 2, 10), (7, 1, 1, 10)]
 
 
 @pytest.mark.parametrize("p, s, levels, prec", LADDER_TOWERS)
@@ -215,26 +216,43 @@ def test_norm_ladder_matches_the_full_precision_oracle(p, s, levels, prec):
 @pytest.mark.parametrize("prec", [24, 6])
 def test_norm_ladder_starts_at_8_digits_and_climbs_on_bottom(monkeypatch, prec):
     # value checks cannot see a ladder that takes an all-bottom rung for "no
-    # constraint"; the caps handed to norm_down can
+    # constraint"; the caps handed to norm_down can, split per element by
+    # markers from the draws. Basis elements start at min(8, prec); a sample
+    # unit starts at the floor set so far, rounded up
     tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=prec))
-    caps = []
-    norm_down = tower.norm_down
+    samples = 5
+    # the floor before sample i: the oracle over the basis and i samples
+    floors = [full_precision_cell(tower, 0, 1, 0, i) for i in range(samples)]
+    events = []
+    rho_power, random_unit, norm_down = tower.rho_power, tower.random_unit, tower.norm_down
+
+    def marking(draw, kind):
+        def wrapped(*args):
+            events.append(kind)
+            return draw(*args)
+
+        return wrapped
 
     def recording(x, level):
-        caps.append(x.cap)
+        events.append(x.cap)
         return norm_down(x, level)
 
+    monkeypatch.setattr(tower, "rho_power", marking(rho_power, "basis"))
+    monkeypatch.setattr(tower, "random_unit", marking(random_unit, "unit"))
     monkeypatch.setattr(tower, "norm_down", recording)
-    samples = 5
     norm_congruence_cell(tower, 0, 1, seed=0, samples=samples)
-    start = min(8, prec)
     climbs = []
-    for cap in caps:
-        if cap == start:
-            climbs.append([cap])
+    for event in events:
+        if isinstance(event, str):
+            climbs.append((event, []))
         else:
-            assert cap == min(2 * climbs[-1][-1], prec)
-            climbs[-1].append(cap)
-    assert len(climbs) == tower.phi(1) + samples
+            climbs[-1][1].append(event)
+    assert [kind for kind, _ in climbs] == ["basis"] * tower.phi(1) + ["unit"] * samples
+    units = iter(floors)
+    for kind, caps in climbs:
+        start = min(8, prec) if kind == "basis" else min(max(1, math.ceil(next(units))), prec)
+        assert caps[0] == start, (kind, caps)
+        for before, cap in zip(caps, caps[1:]):
+            assert cap == min(2 * before, prec)
     # x = rho^0 = 1: N(1) - 1^p is exactly zero, bottom on every rung
-    assert climbs[0] == ([8, 16, 24] if prec == 24 else [6])
+    assert climbs[0][1] == ([8, 16, 24] if prec == 24 else [6])

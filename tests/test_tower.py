@@ -326,8 +326,8 @@ def valuation_or_none(tower, x):
 @settings(max_examples=150, deadline=None)
 @given(small_elements())
 def test_valuation_is_the_minimum_over_rho_power_coords(case):
-    # valuation() and rho_power_coords() run the one Pascal transform; the
-    # valuation must be min_k (val(c_k) + k/e), and both must see zero alike
+    # valuation() reads x mod p, rho_power_coords() runs the Pascal transform;
+    # the valuation must be min_k (val(c_k) + k/e), and both must see zero alike
     tower, x = case
     e = tower.ramification(x.level)
     coords = tower.rho_power_coords(x)
@@ -337,6 +337,36 @@ def test_valuation_is_the_minimum_over_rho_power_coords(case):
             tower.valuation(x)
         return
     assert tower.valuation(x) == min(scores)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SMALL)),
+    st.integers(0, 2),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_valuation_just_below_the_next_integer_is_the_minimum_over_rho_power_coords(
+    p, level, r, a, seed, cut
+):
+    # x = p^a rho^(phi-r) u, optionally truncated: val(x) - a is (phi-r)/phi,
+    # close to 1, where the multiplicity of X = 1 takes the most divisions
+    # and a Taylor shift would make a full pass; rho_power_coords is the oracle
+    tower = SMALL[p]
+    level = min(level, tower.max_level)
+    phi = tower.phi(level)
+    rng = random.Random(seed)
+    x = tower.mul(tower.rho_power(level, max(phi - r, 0)), tower.random_unit(level, rng))
+    x = tower.scale_p(x, a)
+    if cut:
+        x = tower.truncate(x, rng.randint(a + 1, x.cap))
+    want = a + Fraction(max(phi - r, 0), phi)
+    e = tower.ramification(level)
+    coords = tower.rho_power_coords(x)
+    assert min(c.val + Fraction(k, e) for k, c in enumerate(coords) if not c.is_bottom) == want
+    assert tower.valuation(x) == want
 
 
 def test_rho_power_coords_match_rho_powers(tw):
