@@ -38,7 +38,8 @@ from .harness import (
 from .reportio import constants_to_report, emit_report, envelope
 from .tower import CyclotomicTower, TowerParams
 
-CONFIG_KEYS = ("p", "s", "max_level", "prec")
+# command-line flag -> the config-file key it overrides
+FLAG_KEYS = {"p": "p", "s": "s", "levels": "max_level", "prec": "prec"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,18 +112,14 @@ def make_tower(args) -> CyclotomicTower:
         raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise PadicError("config file must hold a JSON object")
-        unknown = set(raw) - set(CONFIG_KEYS)
+        unknown = set(raw) - set(FLAG_KEYS.values())
         if unknown:
             raise PadicError(f"unknown config keys: {sorted(unknown)}")
         conf.update(raw)
-    if args.p is not None:
-        conf["p"] = args.p
-    if args.s is not None:
-        conf["s"] = args.s
-    if args.levels is not None:
-        conf["max_level"] = args.levels
-    if args.prec is not None:
-        conf["prec"] = args.prec
+    for flag, key in FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            conf[key] = value
     p = conf.get("p", 3)
     s = conf.get("s", 2 if p == 2 else 1)
     params = TowerParams(
@@ -155,13 +152,12 @@ def main(argv=None) -> int:
                     for n in range(tower.max_level + 1)
                 },
             }
-            emit_report(envelope(tower, "tower", args.seed, payload), args.out)
-            return 0
-        if args.command == "constants":
-            report = estimate_constants(tower, seed=args.seed, samples=args.samples)
-            emit_report(constants_to_report(tower, report), args.out)
-            return 0
-        if args.command == "verify":
+            report = envelope(tower, "tower", args.seed, payload)
+        elif args.command == "constants":
+            report = constants_to_report(
+                tower, estimate_constants(tower, seed=args.seed, samples=args.samples)
+            )
+        elif args.command == "verify":
             check_sample_count(args.samples)  # before the constants are spent
             constants = estimate_constants(
                 tower, seed=args.seed, samples=args.constants_samples
@@ -178,9 +174,7 @@ def main(argv=None) -> int:
                     constants=constants,
                     samples=args.samples,
                 )
-            emit_report(report, args.out)
-            return 0 if report["passed"] else 1
-        if args.command == "decompose":
+        elif args.command == "decompose":
             x = load_element(tower, args)
             series = perp_series_decompose(tower, x)
             try:
@@ -188,28 +182,26 @@ def main(argv=None) -> int:
             except PadicError:
                 w2 = None
             payload = {"series": series.to_json(), "w2": w2}
-            emit_report(envelope(tower, "perp-series", args.seed, payload), args.out)
-            return 0
-        if args.command == "w2":
+            report = envelope(tower, "perp-series", args.seed, payload)
+        elif args.command == "w2":
             x = load_element(tower, args)
             payload = {"w2": w2_valuation(tower, x), "level": x.level}
-            emit_report(envelope(tower, "w2", args.seed, payload), args.out)
-            return 0
-        if args.command == "series":
+            report = envelope(tower, "w2", args.seed, payload)
+        elif args.command == "series":
             series = perp_series_from_json(tower, read_json(args.series_file))
             if args.op == "invert":
-                result = series_invert(tower, series)
-                payload = {"series": result.to_json(), "op": "invert"}
-                emit_report(envelope(tower, "perp-series", args.seed, payload), args.out)
+                kind, key, value = "perp-series", "series", series_invert(tower, series)
             else:
-                element = series_reconstruct(tower, series)
-                payload = {"element": element.to_json(), "op": "reconstruct"}
-                emit_report(envelope(tower, "element", args.seed, payload), args.out)
-            return 0
-        raise PadicError(f"unhandled command {args.command!r}")
+                kind, key, value = "element", "element", series_reconstruct(tower, series)
+            report = envelope(tower, kind, args.seed, {key: value.to_json(), "op": args.op})
+        else:
+            raise PadicError(f"unhandled command {args.command!r}")
+        emit_report(report, args.out)
     except (PadicError, OSError) as err:
         print(f"tower: {err}", file=sys.stderr)
         return 2
+    # only suite reports carry a verdict: exit 1 means "a suite failed"
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -254,6 +254,14 @@ def norm_witness_value(tower: CyclotomicTower) -> Fraction:
     return tower.valuation(diff) - Fraction(tower.p, tower.phi(1))
 
 
+def iterate_threshold(p: int, c_norm: Fraction) -> int:
+    """m_c: the least m >= 0 with p^m c_norm >= 1/(p-1), for c_norm > 0."""
+    m_c = 0
+    while p ** m_c * c_norm < Fraction(1, p - 1):
+        m_c += 1
+    return m_c
+
+
 def estimate_constants(
     tower: CyclotomicTower, seed: int = 0, samples: int = 1000
 ) -> ConstantsReport:
@@ -268,10 +276,7 @@ def estimate_constants(
     c_norm = min(v for _, v in cn_cells)
     witness = norm_witness_value(tower)
 
-    target = Fraction(1, tower.p - 1)
-    m_c = 0
-    while tower.p ** m_c * c_norm < target:
-        m_c += 1
+    m_c = iterate_threshold(tower.p, c_norm)
 
     c2_cells = tuple(((n, k), trace_bound_cell(tower, n, k)) for n, k in cells)
     c2_star = max(v for _, v in c2_cells)

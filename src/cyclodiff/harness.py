@@ -2,10 +2,12 @@
 
 Each suite is a deterministic batch of assertions over one tower: the same
 tower description, seed, and sample count always produce the same report.
-An assertion records a name, a pass flag, the suite token it belongs to, and
-a witness payload with the measured values.  A suite passes when every
-assertion either passed or was skipped; skips carry an explicit reason and
-only occur when the tower is too shallow for the statement being tested.
+A suite's runner is a generator that yields its records, each with a name,
+a pass flag and a witness payload holding the measured values; `run_suite`
+collects them and stamps each with the suite token it belongs to, the
+suite's key in SUITES.  A suite passes when every assertion either passed or
+was skipped; skips carry an explicit reason and only occur when the tower is
+too shallow for the statement being tested.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .constants import (
     ConstantsReport,
     cell_rng,
     estimate_constants,
+    iterate_threshold,
     norm_cells,
     perp_basis_indices,
 )
@@ -51,17 +54,12 @@ from .tower import CyclotomicTower
 CONSTANTS_SAMPLES = 200
 
 
-def _assertion(suite: str, name: str, passed: bool, witness=None, skipped=False):
-    out = {"name": name, "passed": bool(passed), "anchor": suite}
-    if skipped:
-        out["skipped"] = True
-    if witness is not None:
-        out["witness"] = witness
-    return out
+def _assertion(name: str, passed: bool, witness: dict) -> dict:
+    return {"name": name, "passed": bool(passed), "witness": witness}
 
 
-def _skip(suite: str, name: str, reason: str):
-    return _assertion(suite, name, True, {"reason": reason}, skipped=True)
+def _skip(name: str, reason: str) -> dict:
+    return {"name": name, "passed": True, "skipped": True, "witness": {"reason": reason}}
 
 
 def _val(tower: CyclotomicTower, x) -> Optional[Fraction]:
@@ -110,93 +108,64 @@ class _Margins:
 
 
 def _run_tatediff(tower, seed, constants, samples):
-    out = []
     for n in range(tower.max_level + 1):
         v = different(tower, n, "K0").valuation
-        out.append(
-            _assertion(
-                "tatediff",
-                f"different-over-first-layer-level-{n}",
-                v == n,
-                {"level": n, "valuation": _frozen(v), "expected": n},
-            )
+        yield _assertion(
+            f"different-over-first-layer-level-{n}",
+            v == n,
+            {"level": n, "valuation": _frozen(v), "expected": n},
         )
     for n in range(tower.max_level + 1):
         v = different(tower, n, "Qp").valuation
         want = Fraction(n + tower.s) - Fraction(1, tower.p - 1)
-        out.append(
-            _assertion(
-                "tatediff",
-                f"different-over-base-level-{n}",
-                v == want,
-                {"level": n, "valuation": _frozen(v), "expected": _frozen(want)},
-            )
+        yield _assertion(
+            f"different-over-base-level-{n}",
+            v == want,
+            {"level": n, "valuation": _frozen(v), "expected": _frozen(want)},
         )
-    out.append(
-        _assertion(
-            "tatediff",
-            "different-drift-vanishes",
-            constants.a == 0 and constants.b == 0,
-            {
-                "a": _frozen(constants.a),
-                "b": _frozen(constants.b),
-                "drifts": [_frozen(d) for d in constants.drifts],
-            },
-        )
+    yield _assertion(
+        "different-drift-vanishes",
+        constants.a == 0 and constants.b == 0,
+        {
+            "a": _frozen(constants.a),
+            "b": _frozen(constants.b),
+            "drifts": [_frozen(d) for d in constants.drifts],
+        },
     )
-    return out
 
 
 def _run_fonemb(tower, seed, constants, samples):
-    out = []
     cells = {f"{n},{k}": _frozen(v) for (n, k), v in constants.c_norm_cells}
-    out.append(
-        _assertion(
-            "fonemb",
-            "norm-congruence-positive-all-cells",
-            all(v > 0 for _, v in constants.c_norm_cells),
-            {"cells": cells, "floor": _frozen(constants.c_norm)},
-        )
+    yield _assertion(
+        "norm-congruence-positive-all-cells",
+        all(v > 0 for _, v in constants.c_norm_cells),
+        {"cells": cells, "floor": _frozen(constants.c_norm)},
     )
     witness = constants.c_norm_witness
     q0 = tower.p ** tower.s
     want = Fraction(q0 - 1, q0)
-    out.append(
-        _assertion(
-            "fonemb",
-            "first-layer-uniformizer-witness",
-            witness == want and witness == constants.c_norm,
-            {"value": _frozen(witness), "expected": _frozen(want)},
-        )
+    yield _assertion(
+        "first-layer-uniformizer-witness",
+        witness == want and witness == constants.c_norm,
+        {"value": _frozen(witness), "expected": _frozen(want)},
     )
-    target = Fraction(1, tower.p - 1)
-    m_c = 0
-    while tower.p ** m_c * constants.c_norm < target:
-        m_c += 1
-    out.append(
-        _assertion(
-            "fonemb",
-            "iterate-threshold",
-            m_c == constants.m_c,
-            {"m_c": m_c, "threshold": _frozen(target)},
-        )
+    m_c = iterate_threshold(tower.p, constants.c_norm)
+    yield _assertion(
+        "iterate-threshold",
+        m_c == constants.m_c,
+        {"m_c": m_c, "threshold": _frozen(Fraction(1, tower.p - 1))},
     )
-    return out
 
 
 def _run_rnbdd(tower, seed, constants, samples):
-    out = []
     c2 = constants.c2_star
-    out.append(
-        _assertion(
-            "rnbdd",
-            "projector-bound-on-basis",
-            all(v <= c2 for _, v in constants.c2_cells),
-            {
-                "cells": {f"{n},{k}": _frozen(v) for (n, k), v in constants.c2_cells},
-                "c2": _frozen(c2),
-            },
-        )
+    yield _assertion(
+        "projector-bound-on-basis",
+        all(v <= c2 for _, v in constants.c2_cells),
+        {
+            "cells": {f"{n},{k}": _frozen(v) for (n, k), v in constants.c2_cells},
+            "c2": _frozen(c2),
+        },
     )
     cells = norm_cells(tower)
     per_cell = max(1, samples // max(1, len(cells)))
@@ -222,30 +191,22 @@ def _run_rnbdd(tower, seed, constants, samples):
                 if vi is None:
                     continue  # projected to zero: no constraint
                 tally.add(vi - (floor - c2))
-    out.append(
-        _assertion(
-            "rnbdd",
-            "projector-bound-on-samples",
-            tally.ok and mask_mismatches == 0,
-            tally.witness(mask_mismatches=mask_mismatches),
-        )
+    yield _assertion(
+        "projector-bound-on-samples",
+        tally.ok and mask_mismatches == 0,
+        tally.witness(mask_mismatches=mask_mismatches),
     )
-    return out
 
 
 def _run_gaminv(tower, seed, constants, samples):
-    out = []
     c3 = constants.c3_star
-    out.append(
-        _assertion(
-            "gaminv",
-            "layer-defect-divisors",
-            all(v <= c3 for _, v in constants.c3_cells),
-            {
-                "cells": {f"{n},{k}": v for (n, k), v in constants.c3_cells},
-                "c3": c3,
-            },
-        )
+    yield _assertion(
+        "layer-defect-divisors",
+        all(v <= c3 for _, v in constants.c3_cells),
+        {
+            "cells": {f"{n},{k}": v for (n, k), v in constants.c3_cells},
+            "c3": c3,
+        },
     )
     tally = _Margins()
     for n, k in norm_cells(tower):
@@ -272,16 +233,10 @@ def _run_gaminv(tower, seed, constants, samples):
             if vm is None:
                 continue
             tally.add(vx - (vm - c3))
-    out.append(
-        _assertion(
-            "gaminv", "inversion-bound-on-layer-kernels", tally.ok, tally.witness()
-        )
-    )
-    return out
+    yield _assertion("inversion-bound-on-layer-kernels", tally.ok, tally.witness())
 
 
 def _run_rhoval(tower, seed, constants, samples):
-    out = []
     k_cap = samples
     m_c = constants.m_c
     tally = _Margins()
@@ -299,37 +254,24 @@ def _run_rhoval(tower, seed, constants, samples):
             tally.add(v - floor)
             if n == 0 and k == 1:
                 base_value = v
-    out.append(
-        _assertion(
-            "rhoval",
-            "uniformizer-power-compatibility",
-            tally.ok,
-            tally.witness(k_cap=k_cap),
-        )
+    yield _assertion(
+        "uniformizer-power-compatibility", tally.ok, tally.witness(k_cap=k_cap)
     )
     if tower.p == 3 and tower.s == 1:
-        out.append(
-            _assertion(
-                "rhoval",
-                "base-step-witness",
-                base_value == Fraction(7, 6),
-                {"value": _frozen(base_value), "expected": "7/6"},
-            )
+        yield _assertion(
+            "base-step-witness",
+            base_value == Fraction(7, 6),
+            {"value": _frozen(base_value), "expected": "7/6"},
         )
     else:
-        out.append(
-            _assertion(
-                "rhoval",
-                "base-step-witness",
-                base_value is not None and base_value >= -m_c,
-                {"value": _frozen(base_value)},
-            )
+        yield _assertion(
+            "base-step-witness",
+            base_value is not None and base_value >= -m_c,
+            {"value": _frozen(base_value)},
         )
-    return out
 
 
 def _run_theorem_b(tower, seed, constants, samples):
-    out = []
     for n in range(1, min(3, tower.max_level) + 1):
         ker = kernel_lattice(tower, n, "K0")
         cols_ker = kernel_mixed_columns(tower, ker)
@@ -340,34 +282,28 @@ def _run_theorem_b(tower, seed, constants, samples):
         bound_ok = c_plus <= constants.n_0 and c_minus <= constants.n_1
         if n == 1:
             bound_ok = bound_ok and (c_plus, c_minus) == (0, 0)
-        out.append(
-            _assertion(
-                "theorem-b",
-                f"lattice-commensurability-level-{n}",
-                bound_ok,
-                {
-                    "level": n,
-                    "c_plus": c_plus,
-                    "c_minus": c_minus,
-                    "n_0": constants.n_0,
-                    "n_1": constants.n_1,
-                },
-            )
+        yield _assertion(
+            f"lattice-commensurability-level-{n}",
+            bound_ok,
+            {
+                "level": n,
+                "c_plus": c_plus,
+                "c_minus": c_minus,
+                "n_0": constants.n_0,
+                "n_1": constants.n_1,
+            },
         )
-    return out
 
 
 def _run_fouvar(tower, seed, constants, samples):
     n1 = constants.n_1
     level = n1 + 1
     if level > tower.max_level:
-        return [
-            _skip(
-                "fouvar",
-                "flat-decomposition",
-                f"needs level {level} but tower stops at {tower.max_level}",
-            )
-        ]
+        yield _skip(
+            "flat-decomposition",
+            f"needs level {level} but tower stops at {tower.max_level}",
+        )
+        return
     rng = cell_rng(seed, "fouvar", level, 0)
     count = 0
     margin_floor: Optional[Fraction] = None
@@ -396,25 +332,23 @@ def _run_fouvar(tower, seed, constants, samples):
         and tails_ok == count
         and (margin_floor is None or margin_floor >= 0)
     )
-    return [
-        _assertion(
-            "fouvar",
-            "flat-decomposition",
-            passed,
-            {
-                "level": level,
-                "elements": count,
-                "reconstructed": reconstructed,
-                "integral_tails": tails_ok,
-                "margin_floor": _frozen(margin_floor),
-            },
-        )
-    ]
+    yield _assertion(
+        "flat-decomposition",
+        passed,
+        {
+            "level": level,
+            "elements": count,
+            "reconstructed": reconstructed,
+            "integral_tails": tails_ok,
+            "margin_floor": _frozen(margin_floor),
+        },
+    )
 
 
 def _run_nopdiv(tower, seed, constants, samples):
     if tower.max_level < 2:
-        return [_skip("nopdiv", "divisibility-ceiling", "needs max_level >= 2")]
+        yield _skip("divisibility-ceiling", "needs max_level >= 2")
+        return
     level = 2
     bound = constants.nopdiv_bound()
     rng = cell_rng(seed, "nopdiv", level, 0)
@@ -438,25 +372,21 @@ def _run_nopdiv(tower, seed, constants, samples):
         if not check_stability or exps[tower.max_level] == exps[tower.max_level - 1]:
             stable_ok += 1
     passed = collected == samples and ceiling_ok == collected and stable_ok == collected
-    return [
-        _assertion(
-            "nopdiv",
-            "divisibility-ceiling",
-            passed,
-            {
-                "level": level,
-                "elements": collected,
-                "bound": bound,
-                "max_exponent_seen": worst_sup,
-                "within_bound": ceiling_ok,
-                "stable": stable_ok,
-            },
-        )
-    ]
+    yield _assertion(
+        "divisibility-ceiling",
+        passed,
+        {
+            "level": level,
+            "elements": collected,
+            "bound": bound,
+            "max_exponent_seen": worst_sup,
+            "within_bound": ceiling_ok,
+            "stable": stable_ok,
+        },
+    )
 
 
 def _run_base_change(tower, seed, constants, samples):
-    out = []
     v0 = different(tower, 0, "Qp").valuation
     r = math.ceil(v0)
     for n in range(1, min(2, tower.max_level) + 1):
@@ -466,13 +396,10 @@ def _run_base_change(tower, seed, constants, samples):
         c_plus, c_minus = commensurability_check(
             tower.p, tower.phi(n), scaled, cols_qp
         )
-        out.append(
-            _assertion(
-                "base-change",
-                f"kernel-rescaling-level-{n}",
-                c_plus == 0 and c_minus <= r,
-                {"level": n, "shift": r, "c_plus": c_plus, "c_minus": c_minus},
-            )
+        yield _assertion(
+            f"kernel-rescaling-level-{n}",
+            c_plus == 0 and c_minus <= r,
+            {"level": n, "shift": r, "c_plus": c_plus, "c_minus": c_minus},
         )
     level = min(2, tower.max_level)
     rng = cell_rng(seed, "base-change", level, 0)
@@ -482,19 +409,14 @@ def _run_base_change(tower, seed, constants, samples):
         rep = base_change_compare(tower, x)
         if rep.compatible and rep.kernel_exponent == r:
             agreed += 1
-    out.append(
-        _assertion(
-            "base-change",
-            "classes-agree-after-rescaling",
-            agreed == samples,
-            {"level": level, "samples": samples, "agreed": agreed, "shift": r},
-        )
+    yield _assertion(
+        "classes-agree-after-rescaling",
+        agreed == samples,
+        {"level": level, "samples": samples, "agreed": agreed, "shift": r},
     )
-    return out
 
 
 def _run_rnk2(tower, seed, constants, samples):
-    out = []
     level = min(3, tower.max_level)
     rng = cell_rng(seed, "rnk2", level, 0)
     roundtrips = 0
@@ -512,31 +434,23 @@ def _run_rnk2(tower, seed, constants, samples):
             (a - b).is_all_bottom for a, b in zip(series.components, back.components)
         ):
             json_ok += 1
-    out.append(
-        _assertion(
-            "rnk2",
-            "decompose-reconstruct-roundtrip",
-            roundtrips == samples and certified == samples and json_ok == samples,
-            {
-                "level": level,
-                "samples": samples,
-                "roundtrips": roundtrips,
-                "certified": certified,
-                "json_roundtrips": json_ok,
-            },
-        )
+    yield _assertion(
+        "decompose-reconstruct-roundtrip",
+        roundtrips == samples and certified == samples and json_ok == samples,
+        {
+            "level": level,
+            "samples": samples,
+            "roundtrips": roundtrips,
+            "certified": certified,
+            "json_roundtrips": json_ok,
+        },
     )
     z = tower.zero(level)
     zs = perp_series_decompose(tower, z)
     zero_forward = all(c.is_all_bottom for c in zs.components)
     zero_back = series_reconstruct(tower, zs).is_all_bottom
-    out.append(
-        _assertion(
-            "rnk2",
-            "zero-series-iff-zero-element",
-            zero_forward and zero_back,
-            {"level": level},
-        )
+    yield _assertion(
+        "zero-series-iff-zero-element", zero_forward and zero_back, {"level": level}
     )
     uniq = 0
     trials = max(1, samples // 20)
@@ -545,8 +459,8 @@ def _run_rnk2(tower, seed, constants, samples):
         series = perp_series_decompose(tower, x)
         ell = rng.randrange(1, level + 1)
         delta = tower.perp_project(tower.random_integral(ell, rng), ell)
-        if delta.is_all_bottom:
-            continue
+        while delta.is_all_bottom:  # a zero perturbation tests nothing
+            delta = tower.perp_project(tower.random_integral(ell, rng), ell)
         y = series_reconstruct(tower, series) + tower.embed(delta, level)
         again = perp_series_decompose(tower, y)
         hit = (again.components[ell] - (series.components[ell] + delta)).is_all_bottom
@@ -557,19 +471,14 @@ def _run_rnk2(tower, seed, constants, samples):
         )
         if hit and others:
             uniq += 1
-    out.append(
-        _assertion(
-            "rnk2",
-            "componentwise-uniqueness",
-            uniq == trials,
-            {"trials": trials, "recovered": uniq},
-        )
+    yield _assertion(
+        "componentwise-uniqueness",
+        uniq == trials,
+        {"trials": trials, "recovered": uniq},
     )
-    return out
 
 
 def _run_diffvec(tower, seed, constants, samples):
-    out = []
     level = min(2, tower.max_level)
     rng = cell_rng(seed, "diffvec", level, 0)
     forward_ok = 0
@@ -587,13 +496,10 @@ def _run_diffvec(tower, seed, constants, samples):
         flat_ok = all(v is None or v >= offset for _, v in flat.margins)
         if verdict.member_strict and margins_ok and flat_ok:
             forward_ok += 1
-    out.append(
-        _assertion(
-            "diffvec",
-            "layered-membership-implies-flatness",
-            forward_ok == len(offsets),
-            {"level": level, "offsets": offsets, "agreed": forward_ok},
-        )
+    yield _assertion(
+        "layered-membership-implies-flatness",
+        forward_ok == len(offsets),
+        {"level": level, "offsets": offsets, "agreed": forward_ok},
     )
     cap = Fraction(1, tower.p - 1)
     reverse_ok = 0
@@ -610,13 +516,10 @@ def _run_diffvec(tower, seed, constants, samples):
             "slack_needed": verdict.slack_needed,
             "margins": [[k, _frozen(v)] for k, v in flat.margins],
         }
-    out.append(
-        _assertion(
-            "diffvec",
-            "root-of-unity-witnesses-rejected",
-            reverse_ok == tower.max_level,
-            {"cap": _frozen(cap), "witnesses": reverse_detail},
-        )
+    yield _assertion(
+        "root-of-unity-witnesses-rejected",
+        reverse_ok == tower.max_level,
+        {"cap": _frozen(cap), "witnesses": reverse_detail},
     )
     if tower.p == 3 and tower.s == 1:
         pinned = True
@@ -624,47 +527,35 @@ def _run_diffvec(tower, seed, constants, samples):
             flat = flatness_test(tower, tower.embed(tower.zeta(1), m))
             finite = [(k, v) for k, v in flat.margins if v is not None]
             pinned = pinned and finite == [(0, Fraction(1, 2))]
-        out.append(
-            _assertion(
-                "diffvec",
-                "first-layer-witness-margin",
-                pinned,
-                {"expected": "1/2", "levels": tower.max_level},
-            )
+        yield _assertion(
+            "first-layer-witness-margin",
+            pinned,
+            {"expected": "1/2", "levels": tower.max_level},
         )
-    return out
 
 
 def _run_theorem_a_shadow(tower, seed, constants, samples):
-    out = []
     gaps = []
     for m in range(1, tower.max_level + 1):
         x = tower.scale_p(tower.zeta(m), m)
         v = tower.valuation(x)
         w2 = w2_valuation(tower, x)
         gaps.append(v - w2)
-        out.append(
-            _assertion(
-                "theorem-a-shadow",
-                f"valuation-gap-level-{m}",
-                v == m and w2 == 0,
-                {"level": m, "valuation": _frozen(v), "w2": w2, "gap": _frozen(v - w2)},
-            )
+        yield _assertion(
+            f"valuation-gap-level-{m}",
+            v == m and w2 == 0,
+            {"level": m, "valuation": _frozen(v), "w2": w2, "gap": _frozen(v - w2)},
         )
     growing = all(b - a >= 1 for a, b in zip(gaps, gaps[1:]))
-    out.append(
-        _assertion(
-            "theorem-a-shadow",
-            "gap-grows-with-level",
-            growing and bool(gaps),
-            {"gaps": [_frozen(g) for g in gaps]},
-        )
+    yield _assertion(
+        "gap-grows-with-level",
+        growing and bool(gaps),
+        {"gaps": [_frozen(g) for g in gaps]},
     )
-    return out
 
 
-# suite name -> (runner, main sample knob), in report order; a knob of None
-# means the suite is exhaustive
+# suite name -> (runner, main sample knob), in report order; a runner yields
+# its records unstamped, and a knob of None means the suite is exhaustive
 SUITES = {
     "tatediff": (_run_tatediff, None),
     "fonemb": (_run_fonemb, 60),
@@ -707,7 +598,9 @@ def run_suite(
     runner, default_samples = SUITES[name]
     if samples is None:
         samples = default_samples
-    assertions = runner(tower, seed, constants, samples)
+    assertions = [
+        {**record, "anchor": name} for record in runner(tower, seed, constants, samples)
+    ]
     return envelope(
         tower,
         "suite",

@@ -7,7 +7,9 @@ import time
 import pytest
 
 import cyclodiff
+from cyclodiff import harness
 from cyclodiff.cli import main
+from cyclodiff.reportio import validate_report
 from cyclodiff.tower import CyclotomicTower, TowerParams
 
 FAST = ["--p", "3", "--levels", "2", "--prec", "16"]
@@ -66,6 +68,35 @@ def test_verify_all(capsys):
     assert rc == 0
     assert rep["kind"] == "suite-collection"
     assert len(rep["suites"]) == 12
+
+
+def test_a_failing_suite_exits_1_and_other_commands_exit_0(capsys, tmp_path, monkeypatch):
+    def failing(tower, seed, constants, samples):
+        yield {"name": "forced-failure", "passed": False, "witness": {}}
+
+    monkeypatch.setitem(harness.SUITES, "tatediff", (failing, None))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "tatediff", "--constants-samples", "2", "--out", str(out), *FAST]) == 1
+    rep = json.loads(out.read_text())
+    validate_report(rep)
+    assert rep["passed"] is False
+    assert rep["assertions"] == [
+        {"name": "forced-failure", "passed": False, "witness": {}, "anchor": "tatediff"}
+    ]
+    assert run_cli(capsys, "build", *FAST)[0] == 0
+    assert run_cli(capsys, "constants", "--samples", "2", *FAST)[0] == 0
+
+
+def test_rnk2_redraws_a_zero_perturbation(capsys):
+    # at seed 197 the uniqueness trial's perturbation projects to zero at cap
+    # 4; it used to be skipped uncounted, which failed the suite
+    rc, rep = run_cli(
+        capsys, "verify", "rnk2", "--p", "2", "--levels", "1", "--prec", "4",
+        "--seed", "197", "--samples", "20", "--constants-samples", "4",
+    )
+    assert rc == 0
+    uniqueness = rep["assertions"][-1]
+    assert uniqueness["witness"] == {"trials": 1, "recovered": 1}
 
 
 def test_decompose_series_w2_roundtrip(capsys, tmp_path):

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from cyclodiff.cli import main
+from cyclodiff.harness import SUITE_NAMES
+from cyclodiff.reportio import canonical_dumps
 
 GOLDEN = Path(__file__).parent / "golden"
 P3_SMALL = ["--p", "3", "--levels", "3", "--prec", "24"]
@@ -53,6 +55,15 @@ def report_bytes(capsys, argv) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(capsys, name):
     assert report_bytes(capsys, CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_single_suite_report_matches_its_entry_in_the_p7_golden(capsys, suite):
+    # fouvar and nopdiv are skips at this tower
+    argv = CASES["verify_p7_l1_prec10.json"]
+    collection = json.loads((GOLDEN / "verify_p7_l1_prec10.json").read_text())
+    expected = canonical_dumps(collection["suites"][suite]).encode()
+    assert report_bytes(capsys, ["verify", suite, *argv[2:]]) == expected
 
 
 def series_from_report(tmp_path, name) -> str:
