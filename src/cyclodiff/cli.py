@@ -131,6 +131,8 @@ def make_tower(args) -> CyclotomicTower:
 def load_element(tower: CyclotomicTower, args):
     if args.element_file and args.random:
         raise PadicError("pass either --element-file or --random, not both")
+    if args.level is not None and not args.random:
+        raise PadicError("--level applies only to --random elements")
     if args.element_file:
         return tower.element_from_json(read_json(args.element_file))
     if args.random:

@@ -109,10 +109,8 @@ def perp_margins(tower: CyclotomicTower, components) -> List[Optional[Fraction]]
     to working precision."""
     margins: List[Optional[Fraction]] = []
     for n, comp in enumerate(components):
-        try:
-            margins.append(tower.valuation(comp) - n)
-        except ValuationOfZero:
-            margins.append(None)
+        v = tower.valuation_or_none(comp)
+        margins.append(None if v is None else v - n)
     return margins
 
 
@@ -179,9 +177,6 @@ def flatness_test(tower: CyclotomicTower, x: TowerElement) -> FlatnessReport:
     out = []
     for k in range(lev):
         g = tower.layer_generator(k, lev)
-        diff = tower.galois_apply(g, x) - x
-        try:
-            out.append((k, tower.valuation(diff) - k))
-        except ValuationOfZero:
-            out.append((k, None))
+        v = tower.valuation_or_none(tower.galois_apply(g, x) - x)
+        out.append((k, None if v is None else v - k))
     return FlatnessReport(lev, tuple(out))

@@ -101,8 +101,9 @@ def norm_congruence_cell(
         while True:
             xd = tower.truncate(x, digits)
             diff = tower.norm_defect(xd, n)
-            if not diff.is_all_bottom:
-                v = tower.valuation(diff) - deg * val_x
+            v = tower.valuation_or_none(diff)
+            if v is not None:
+                v -= deg * val_x
                 if best is None or v < best:
                     best = v
                 return
@@ -131,10 +132,8 @@ def trace_bound_cell(tower: CyclotomicTower, n: int, k: int) -> Fraction:
         coeffs[j] = 1
         x = tower.from_int_coeffs(m, coeffs)
         for image in (tower.normalized_trace(x, n), tower.perp_project(x, n)):
-            if image.is_all_bottom:
-                continue
-            v = tower.valuation(image)
-            if -v > worst:
+            v = tower.valuation_or_none(image)
+            if v is not None and -v > worst:
                 worst = -v
     return worst
 

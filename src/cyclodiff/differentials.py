@@ -27,11 +27,11 @@ in `constants` call it on their integer matrices directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import DomainError, ValuationOfZero
+from .errors import DomainError
 from .padic import PadicScalar, pack_profile, vp
 from .tower import CyclotomicTower, RhoExpansion, TowerElement
 
@@ -72,17 +72,11 @@ class OmegaClass:
     def same_class(self, other: "OmegaClass") -> bool:
         if (self.level, self.base) != (other.level, other.base):
             raise DomainError("classes live in different modules")
-        diff = self.rep - other.rep
-        try:
-            return self.rep.tower.valuation(diff) >= self.modulus_val
-        except ValuationOfZero:
-            return True
+        return replace(self, rep=self.rep - other.rep).is_zero()
 
     def is_zero(self) -> bool:
-        try:
-            return self.rep.tower.valuation(self.rep) >= self.modulus_val
-        except ValuationOfZero:
-            return True
+        v = self.rep.tower.valuation_or_none(self.rep)
+        return v is None or v >= self.modulus_val
 
 
 def different(tower: CyclotomicTower, level: int, base: str = "K0") -> DifferentData:
@@ -118,11 +112,9 @@ def differential(
     if level < x.level:
         raise DomainError("differential level below the element's level")
     x = tower.embed(x, level)
-    try:
-        if tower.valuation(x) < 0:
-            raise DomainError("differential is defined on integral elements")
-    except ValuationOfZero:
-        pass
+    v = tower.valuation_or_none(x)
+    if v is not None and v < 0:
+        raise DomainError("differential is defined on integral elements")
     # d(sum_k c_k rho^k) = sum_k k c_k rho^(k-1) d(rho); the top slot is zero
     # at the working precision, which caps the class there.
     if base == "K0":
@@ -379,10 +371,8 @@ def kernel_lattice(tower: CyclotomicTower, level: int, base: str = "K0") -> Kern
 def _k0_coeffs_in_kernel(tower: CyclotomicTower, ker: KernelLattice, coeffs) -> bool:
     """Whether the K_0-coefficients of an element meet the kernel bounds."""
     e0 = tower.phi(0)
-    return all(
-        c.is_all_bottom or tower.valuation(c) >= Fraction(r, e0)
-        for c, r in zip(coeffs, ker.exps)
-    )
+    vals = (tower.valuation_or_none(c) for c in coeffs)
+    return all(v is None or v >= Fraction(r, e0) for v, r in zip(vals, ker.exps))
 
 
 def kernel_mixed_columns(tower: CyclotomicTower, ker: KernelLattice):
@@ -458,11 +448,8 @@ def divisibility_exponent(
         coeffs = tower.to_rho_basis(tower.embed(x, m)).coeffs
         best = None
         for k in range(1, len(coeffs)):
-            c = coeffs[k]
-            if c.is_all_bottom:
-                continue
-            vc = tower.valuation(c)
-            if Fraction(vp(k, tower.p)) + vc >= m:
+            vc = tower.valuation_or_none(coeffs[k])
+            if vc is None or Fraction(vp(k, tower.p)) + vc >= m:
                 continue
             cand = math.floor(vc)
             if best is None or cand < best:
@@ -520,10 +507,8 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
         y = layers[k - 1] - tower.embed(layers[k], lev)
         parts.append(y)
         need = Fraction(lev - n1)
-        try:
-            margins.append(tower.valuation(y) - need)
-        except ValuationOfZero:
-            margins.append(Fraction(tower.prec) - need)  # zero part: huge margin
+        v = tower.valuation_or_none(y)
+        margins.append((Fraction(tower.prec) if v is None else v) - need)  # zero: huge margin
     tail = layers[-1]
     if not (layers[0] - x).is_all_bottom:
         raise DomainError("internal error: decomposition failed to telescope")

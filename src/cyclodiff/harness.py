@@ -44,7 +44,7 @@ from .differentials import (
     layer_sum_columns,
     random_kernel_element,
 )
-from .errors import DomainError, ValuationOfZero
+from .errors import DomainError
 from .padic import vp
 from .reportio import envelope
 from .tower import CyclotomicTower
@@ -60,13 +60,6 @@ def _assertion(name: str, passed: bool, witness: dict) -> dict:
 
 def _skip(name: str, reason: str) -> dict:
     return {"name": name, "passed": True, "skipped": True, "witness": {"reason": reason}}
-
-
-def _val(tower: CyclotomicTower, x) -> Optional[Fraction]:
-    try:
-        return tower.valuation(x)
-    except ValuationOfZero:
-        return None
 
 
 def _frozen(fr) -> Optional[str]:
@@ -176,7 +169,7 @@ def _run_rnbdd(tower, seed, constants, samples):
         rng = cell_rng(seed, "rnbdd", n, m)
         for _ in range(per_cell):
             x = tower.random_integral(m, rng)
-            vx = _val(tower, x)
+            vx = tower.valuation_or_none(x)
             if vx is None:
                 continue
             floor = Fraction(math.floor(vx))
@@ -187,7 +180,7 @@ def _run_rnbdd(tower, seed, constants, samples):
             if not (masked - honest).is_all_bottom:
                 mask_mismatches += 1
             for image in (masked, tower.perp_project(x, n)):
-                vi = _val(tower, image)
+                vi = tower.valuation_or_none(image)
                 if vi is None:
                     continue  # projected to zero: no constraint
                 tally.add(vi - (floor - c2))
@@ -225,11 +218,11 @@ def _run_gaminv(tower, seed, constants, samples):
             for j, c in combo.items():
                 ints[j] = c
             x = tower.from_int_coeffs(m, ints)
-            vx = _val(tower, x)
+            vx = tower.valuation_or_none(x)
             if vx is None:
                 continue
             moved = x - tower.galois_apply(g, x)
-            vm = _val(tower, moved)
+            vm = tower.valuation_or_none(moved)
             if vm is None:
                 continue
             tally.add(vx - (vm - c3))
@@ -247,7 +240,7 @@ def _run_rhoval(tower, seed, constants, samples):
         for k in range(1, k_cap + 1):
             lhs = tower.power(rho_up, tower.p * k)
             rhs = tower.embed(tower.power(rho_dn, k), n + 1)
-            v = _val(tower, lhs - rhs)
+            v = tower.valuation_or_none(lhs - rhs)
             if v is None:
                 continue  # agreement below working precision
             floor = Fraction(vp(k, tower.p)) - m_c
@@ -318,7 +311,7 @@ def _run_fouvar(tower, seed, constants, samples):
         low = min(dec.margins, default=Fraction(0))
         if margin_floor is None or low < margin_floor:
             margin_floor = low
-        tail_val = _val(tower, dec.tail)
+        tail_val = tower.valuation_or_none(dec.tail)
         if tail_val is None or tail_val >= 0:
             tails_ok += 1
         total = tower.embed(dec.tail, level)

@@ -244,26 +244,6 @@ class PadicScalar:
         u = pow(self.unit, -1, self.p ** m)
         return PadicScalar(self.p, self.prec - 2 * self.val, -self.val, u)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.invert() ** (-n)
-        if n == 0:
-            # x^0 == 1 exactly; cap it at the operand's own cap.
-            return PadicScalar.from_int(self.p, 1, self.prec)
-        # Square-and-multiply; the multiplications do the precision trimming.
-        out = None
-        acc = self
-        m = n
-        while m:
-            if m & 1:
-                out = acc if out is None else out * acc
-            m >>= 1
-            if m:
-                acc = acc * acc
-        return out
-
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by the exact power p**k (k may be negative)."""
         if self.val is None:

@@ -251,9 +251,6 @@ class TowerElement:
 
     __hash__ = None
 
-    def valuation(self) -> Fraction:
-        return self.tower.valuation(self)
-
     def __str__(self):
         parts = []
         for j, c in enumerate(self.coeffs):
@@ -715,6 +712,14 @@ class CyclotomicTower:
                 f, k = [*chain.from_iterable(quotient[::-1])], k + m
         return Fraction(sx * phi + k, phi)
 
+    def valuation_or_none(self, x: TowerElement) -> Optional[Fraction]:
+        """`valuation`, or None when x vanishes at its cap: the one reading
+        of a bottom valuation.  Vanishing at its cap = no constraint, so on
+        None a caller skips its test or takes the bound the cap implies (x =
+        O(p^cap) has val(x) >= cap).  `valuation` still raises for a caller
+        that wants the error."""
+        return None if x.is_all_bottom else self.valuation(x)
+
     # -- the minimal polynomial over Q_p and the rho expansion ------------------------
 
     def minimal_polynomial_qp(self, level: int):
@@ -827,9 +832,8 @@ class CyclotomicTower:
         the unit u by Newton's method with precision doubling
         (`_invert_unit`), which raises InsufficientPrecision rather than
         return an unconverged inverse."""
-        try:
-            t = self.valuation(x)
-        except ValuationOfZero:
+        t = self.valuation_or_none(x)
+        if t is None:
             raise DivisionByZeroPadic("cannot invert zero at working precision")
         e = self.ramification(x.level)
         a, r = divmod(int(t * e), e)

@@ -269,6 +269,17 @@ def test_element_file_without_level_exits_2(capsys, tmp_path):
     assert "missing key 'level'" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "w2"])
+def test_level_without_random_exits_2(capsys, tmp_path, command):
+    # --level picks the level of a random draw; a file's element has its own
+    tower = CyclotomicTower(TowerParams(3, 1, 2, prec=16))
+    element_file = _write(tmp_path / "elt.json", tower.zeta(2).to_json())
+    err = rejected(capsys, command, "--element-file", element_file, "--level", "1", *FAST)
+    assert err.count("\n") == 1 and "--level" in err
+    err = rejected(capsys, command, "--level", "1", *FAST)
+    assert "--level" in err
+
+
 def test_element_file_that_is_not_json_exits_2(capsys, tmp_path):
     element_file = tmp_path / "elt.json"
     element_file.write_text("not json")

@@ -125,13 +125,6 @@ def test_invert():
         PadicScalar.bottom(3, 5).invert()
 
 
-def test_pow():
-    x = PadicScalar.from_int(3, 2, 10)
-    assert x ** 5 == PadicScalar.from_int(3, 32, 10)
-    assert to_fraction(x ** 0) == 1
-    assert (x ** -1) * x == 1
-
-
 def test_shift():
     x = PadicScalar.from_int(3, 2, 6)
     up = x.shift(3)
