@@ -4,11 +4,11 @@ For x in O_{K_n} the module of differentials relative to a base (O_{K_0} or
 Z_p) is cyclic: Omega = O_{K_n}/d_n * d(rho_n), where d_n is the different
 ideal.  Everything here is phrased through that presentation:
 
-* `differential(x)` produces the class u'(rho) d(rho) from the coefficient
-  expansion of x over the chosen base;
-* `different` returns the generator g'(rho_n) of the different together with
-  its exact valuation, `modulus_valuation` (n over K_0, n + s - 1/(p-1) over
-  Q_p);
+* `differential(x)` produces the class (dx/d rho) d(rho) by the chain rule on
+  x's zeta-coordinates, with zeta^(p^n) = zeta_0 constant over K_0;
+* `different` returns the generator g'(rho_n) of the different, in closed
+  form, with its exact valuation, `modulus_valuation` (n over K_0, n + s -
+  1/(p-1) over Q_p);
 * lattices live in one fixed coordinate system, the Z_p-basis
   rho_0^j * rho_n^i of O_{K_n} (j < phi(0), i < p^n), where the kernel of d
   and the layered sums sum_m p^m O_{K_m} can be compared head to head; the
@@ -81,13 +81,7 @@ class OmegaClass:
 
 def different(tower: CyclotomicTower, level: int, base: str = "K0") -> DifferentData:
     expected = modulus_valuation(tower, level, base)
-    if base == "K0":
-        gen = tower.minpoly_derivative_at_rho(level)
-    else:
-        g, p, prec = tower.minimal_polynomial_qp(level), tower.p, tower.prec
-        gen = tower.from_rho_power_coords(
-            level, [PadicScalar.from_int(p, k * g[k], prec) for k in range(1, len(g))]
-        )
+    gen = tower.minpoly_derivative_at_rho(level, over_qp=base == "Qp")
     got = tower.valuation(gen)
     if got != expected:
         raise DomainError(
@@ -106,7 +100,10 @@ def modulus_valuation(tower: CyclotomicTower, level: int, base: str) -> Fraction
 def differential(
     tower: CyclotomicTower, x: TowerElement, base: str = "K0", level: Optional[int] = None
 ) -> OmegaClass:
-    """The class of dx in Omega^1 of O_{K_level} over the base ring."""
+    """The class of dx in Omega^1 of O_{K_level} over the base ring: the rep
+    is dx/d(rho) by the chain rule on zeta-coordinates, reading j mod p^level
+    over K_0 (zeta^(p^level) = zeta_0 has d = 0) and j over Q_p
+    (`CyclotomicTower.rho_derivative`), known to min(x.cap, prec)."""
     _check_base(base)
     level = x.level if level is None else level
     if level < x.level:
@@ -115,17 +112,7 @@ def differential(
     v = tower.valuation_or_none(x)
     if v is not None and v < 0:
         raise DomainError("differential is defined on integral elements")
-    # d(sum_k c_k rho^k) = sum_k k c_k rho^(k-1) d(rho); the top slot is zero
-    # at the working precision, which caps the class there.
-    if base == "K0":
-        c = tower.to_rho_basis(x).coeffs
-        derived = [c[i] * i for i in range(1, len(c))] + [tower.zero(0)]
-        rep = tower.from_rho_basis(RhoExpansion(level, tuple(derived)))
-    else:
-        a = tower.rho_power_coords(x)
-        derived = [a[k] * k for k in range(1, len(a))]
-        derived.append(PadicScalar.bottom(tower.p, tower.prec))
-        rep = tower.from_rho_power_coords(level, derived)
+    rep = tower.rho_derivative(x, tower.degree(level) if base == "K0" else tower.phi(level))
     return OmegaClass(level, base, rep, modulus_valuation(tower, level, base))
 
 
@@ -179,6 +166,7 @@ def sublevel_columns(tower: CyclotomicTower, m: int, n: int) -> List[List[PadicS
     rho_m^i is an integer polynomial in rho_n of degree below p^n, and its Q_p
     rho-coordinate k fills row k * phi(0) + j; every other entry is bottom at
     that coordinate's cap."""
+    tower._check_level(m)  # n is checked by `embed`
     d0, d = tower.phi(0), tower.degree(n)
     cols = []
     for i in range(tower.degree(m)):

@@ -33,7 +33,8 @@ sum_k c_k rho^k, over Q_p (`from_rho_power_coords`) or over K_0
 O_{K_m} at level n (`differentials.sublevel_columns`), from rho_m^i.  The way
 to K_0-coefficients, `to_rho_basis`, is Euler's formula instead: one product
 by g'(rho)^-1, then rho-shifts and integer sums against the quotients of the
-minimal polynomial.
+minimal polynomial.  d/d(rho) needs no transform: `rho_derivative` is the
+chain rule on zeta-coordinates, one pass over the ints.
 
 Every element has one cap.  Products, powers, conjugates, traces and norms
 run on one packed form, the triple (shift, digits, ints): every coordinate is
@@ -46,15 +47,16 @@ words by `struct` and w strided slice copies; wider slots are joined and
 sliced as bytes (`_encode`, `_decode`).  It folds the slots and normalises: it
 reduces mod p^digits and moves the common power of p into the shift, so its
 output is exactly the packed form of the product.  `mul` is one kernel call
-between `_pack` and `_unpack`; `power` and `norm_down` chain kernel calls on
+between `_pack` and `_unpack` (a scalar enters as its `constant`, and an int
+only scales the ints); `power` and `norm_down` chain kernel calls on
 triples; `galois_apply`, `trace_down` and `norm_down` share one Galois loop on
 the ints, `_act`.
 
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
 missing view on first use; coordinates with different caps (JSON input,
-scalar products) are read at their least cap when the element is built, and
-only the triple is kept.  `add` and the product by a scalar work on the
-coordinates.  Every other op reads and returns the triple, normalised by
+rho-power coordinates) are read at their least cap when the element is built,
+and only the triple is kept.  `add` alone works on the coordinates.  Every
+other op reads and returns the triple, normalised by
 `_normalise` (digits = 0 or some int is prime to p): `embed` spreads the ints
 with stride p^k, `scale_p` moves the shift, the projectors gather every
 p^k-th int, and `coeffs` builds the `PadicScalar`s on first read, so a chain
@@ -281,6 +283,8 @@ class CyclotomicTower:
         self.s = params.s
         self.max_level = params.max_level
         self.prec = params.prec
+        # zeta = 1 + rho_sign rho: rho = zeta - 1 for odd p, 1 - zeta for p = 2
+        self.rho_sign = -1 if self.p == 2 else 1
         self._dual_basis = {}
 
     # -- static shape -----------------------------------------------------
@@ -349,18 +353,15 @@ class CyclotomicTower:
         return self.constant(level, 1, prec)
 
     def constant(self, level: int, value, prec: Optional[int] = None) -> TowerElement:
+        """A rational at cap prec, or a scalar at its own cap, as a triple."""
         self._check_level(level)
-        prec = self.prec if prec is None else prec
-        if isinstance(value, PadicScalar):
-            if value.p != self.p:
-                raise DomainError("scalar prime differs from tower prime")
-            c0 = value
-            prec = value.prec
-        else:
-            c0 = PadicScalar.from_fraction(self.p, value, prec)
-        bot = PadicScalar.bottom(self.p, prec)
-        coeffs = [c0] + [bot] * (self.phi(level) - 1)
-        return TowerElement(self, level, coeffs)
+        if not isinstance(value, PadicScalar):
+            value = PadicScalar.from_fraction(self.p, value, self.prec if prec is None else prec)
+        elif value.p != self.p:
+            raise DomainError("scalar prime differs from tower prime")
+        shift = value.prec if value.is_bottom else value.val
+        ints = [value.unit] + [0] * (self.phi(level) - 1)
+        return self._unpack(level, (shift, value.prec - shift, ints))
 
     def zeta(self, level: int, exponent: int = 1, prec: Optional[int] = None) -> TowerElement:
         self._check_level(level)
@@ -392,8 +393,8 @@ class CyclotomicTower:
         phi = self.phi(level)
         if not 0 <= k < phi:
             raise DomainError(f"rho_power wants 0 <= k < {phi}, got {k}")
-        flip = 0 if self.p == 2 else k
-        coeffs = [-c if (j + flip) & 1 else c for j, c in enumerate(_comb_row(k))]
+        sign = (-self.rho_sign) ** k  # (s (zeta - 1))^k = (-s)^k (1 - zeta)^k
+        coeffs = [-sign * c if j & 1 else sign * c for j, c in enumerate(_comb_row(k))]
         return self.from_int_coeffs(level, coeffs, prec)
 
     def element_from_json(self, obj: dict) -> TowerElement:
@@ -473,9 +474,16 @@ class CyclotomicTower:
         return self._normalise(sa + sb, min(da, db), self.fold(level, zs))
 
     def mul(self, x: TowerElement, y) -> TowerElement:
-        if isinstance(y, (int, PadicScalar)):
-            return TowerElement(self, x.level, [c * y for c in x.coeffs])
-        if not isinstance(y, TowerElement):
+        """x y on the triples.  By an int k the cap rises by vp(k); a scalar c
+        goes through `constant` into `_product`, whose cap min(cap_x + val_c,
+        shift_x + prec_c) is the scalar rule."""
+        if isinstance(y, int):
+            shift, digits, ints = self._pack(x)
+            t = vp(y, self.p) if y else 0
+            return self._unpack(x.level, self._normalise(shift, digits + t, [a * y for a in ints]))
+        if isinstance(y, PadicScalar):
+            y = self.constant(x.level, y)
+        elif not isinstance(y, TowerElement):
             return NotImplemented
         x, y = self._align(x, y)
         return self._unpack(x.level, self._product(x.level, self._pack(x), self._pack(y)))
@@ -531,6 +539,7 @@ class CyclotomicTower:
 
     def layer_generator(self, k: int, level: int) -> GaloisElement:
         """g_k = g_0^(p^k), the canonical generator of Gal(K_level / K_k)."""
+        self._check_level(k)
         return self.galois(level, self.p ** k)
 
     def _act(self, level: int, unit: int, packed):
@@ -649,7 +658,7 @@ class CyclotomicTower:
         """Yield c_k mod p^digits for k < len(ints): the Pascal transform from
         zeta- to rho-coordinates of ints, or back with inverse=True.
 
-        zeta = 1 + s rho with s = 1 (odd p) or -1 (p = 2), so the way there is
+        zeta = 1 + s rho with s = `rho_sign`, so the way there is
         c_k = s^k sum_(j>=k) C(j,k) a_j, and rho = s (zeta - 1) gives the way
         back, a_j = (-1)^j sum_(k>=j) C(k,j) (-s)^k c_k: the same sums with
         signs, and at p = 2 the same sum.  No cyclotomic reduction enters
@@ -659,10 +668,9 @@ class CyclotomicTower:
         reversed and exact: each pass is one `accumulate`, and pops entry k.
         """
         mod = self.p ** digits
-        odd = self.p != 2
-        if inverse and odd:
+        if inverse and self.rho_sign > 0:
             ints = [-a if j & 1 else a for j, a in enumerate(ints)]
-        flip = inverse or not odd
+        flip = inverse or self.rho_sign < 0
         rev = ints[::-1]
         for k in range(len(rev)):
             *rev, c = accumulate(rev)
@@ -720,25 +728,28 @@ class CyclotomicTower:
         that wants the error."""
         return None if x.is_all_bottom else self.valuation(x)
 
-    # -- the minimal polynomial over Q_p and the rho expansion ------------------------
+    # -- d/d rho, the minimal polynomials' derivatives and the rho expansion ----------
 
-    def minimal_polynomial_qp(self, level: int):
-        """Integer coefficients of the monic minimal polynomial of rho_level
-        over Q_p: Phi_q(1+X) for odd p, Phi_q(1-X) for p = 2."""
+    def rho_derivative(self, x: TowerElement, period: int) -> TowerElement:
+        """dx/d(rho) = s sum_j (j mod period) a_j zeta^(j-1) for x = sum_j a_j
+        zeta^j, s = `rho_sign`: the chain rule on zeta = 1 + s rho, with
+        zeta^period constant (d = p^n over K_0, where zeta^d = zeta_0; phi
+        over Q_p), in one pass over the triple; no index reaches phi.  The cap
+        is min(x.cap, prec); at period 1 every term is zero, at cap prec."""
+        shift, digits, ints = self._pack(x)
+        acc = [self.rho_sign * (j % period) * ints[j] for j in range(1, len(ints))] + [0]
+        cap = self.prec if period == 1 else min(shift + digits, self.prec)
+        return self._unpack(x.level, self._normalise(shift, cap - shift, acc))
+
+    def minpoly_derivative_at_rho(self, level: int, prec=None, over_qp=False) -> TowerElement:
+        """g'(rho_level) = s f'(zeta) in closed form, g(X) = f(1 + sX) the
+        minimal polynomial of rho_level over K_0, f = Y^(p^n) - zeta_0, or over
+        Q_p with ``over_qp``, f = Phi_q(Y) = sum_(i<p) Y^(ih)."""
         self._check_level(level)
-        p, h, phi = self.p, self.h(level), self.phi(level)
-        coeffs = [0] * (phi + 1)
-        for i in range(p):
-            for k, c in enumerate(_comb_row(i * h)):
-                coeffs[k] += -c if p == 2 and k & 1 else c
-        return coeffs
-
-    def minpoly_derivative_at_rho(self, level: int, prec: Optional[int] = None) -> TowerElement:
-        """g'(rho_level) in closed form: +-p^n zeta^(p^n - 1)."""
-        d = self.degree(level)
-        phi = self.phi(level)
-        coeffs = [0] * phi
-        coeffs[d - 1] = -d if self.p == 2 else d
+        m, top = (self.h(level), self.p) if over_qp else (self.degree(level), 2)
+        coeffs = [0] * self.phi(level)
+        for i in range(1, top):
+            coeffs[i * m - 1] = self.rho_sign * i * m
         return self.from_int_coeffs(level, coeffs, prec)
 
     def _dual_data(self, level: int):
@@ -749,7 +760,7 @@ class CyclotomicTower:
         i is the normalised triple of (g_(i+1), ..., g_d) at the working prec."""
         got = self._dual_basis.get(level)
         if got is None:
-            d, s = self.degree(level), -1 if self.p == 2 else 1
+            d, s = self.degree(level), self.rho_sign
             g = [c * s ** k for k, c in enumerate(_comb_row(d))]
             rows = [self._normalise(0, self.prec, g[i + 1 :]) for i in range(d)]
             # extra headroom so dividing by p^level costs no working digits
@@ -774,7 +785,7 @@ class CyclotomicTower:
         gathers = [ints[::d]]
         for _ in range(d - 1):
             zy = self.fold(level, [0, *ints])
-            ints = list(map(sub, ints, zy) if self.p == 2 else map(sub, zy, ints))
+            ints = list(map(sub, zy, ints) if self.rho_sign > 0 else map(sub, ints, zy))
             gathers.append(ints[::d])
         lanes = list(zip(*gathers))
         coeffs = []

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclodiff.constants import galois_defect_cell
 from cyclodiff.errors import DomainError
 from cyclodiff.padic import PadicScalar
 from cyclodiff.tower import CyclotomicTower, RhoExpansion, TowerParams
@@ -28,7 +29,13 @@ from cyclodiff.differentials import (
     random_kernel_element,
     sublevel_columns,
 )
-from test_tower import FOLD_TOWERS, SMALL, mul_rho_oracle, rho_sum_elements
+from test_tower import (
+    FOLD_TOWERS,
+    SMALL,
+    minimal_polynomial_qp,
+    mul_rho_oracle,
+    rho_sum_elements,
+)
 
 
 def kernel_contains(tower, ker, x) -> bool:
@@ -141,14 +148,21 @@ def test_transition_factor_values(t3, t2):
     assert t2.valuation(level_transition_factor(t2, 1, 3)) == Fraction(2)
 
 
-def test_leibniz_rule_spot(t3):
-    x = t3.random_integral(1, random.Random(11))
-    y = t3.random_integral(1, random.Random(12))
-    dx = differential(t3, x, "K0").rep
-    dy = differential(t3, y, "K0").rep
-    dxy = differential(t3, t3.mul(x, y), "K0")
-    lhs = OmegaClass(1, "K0", t3.mul(x, dy) + t3.mul(y, dx), dxy.modulus_val)
-    assert dxy.same_class(lhs)
+@pytest.mark.parametrize("p", sorted(SMALL))
+def test_leibniz_rule(p):
+    # d(xy) = x dy + y dx on every level over both bases, with no rho
+    # transform in the loop: the chain rule alone on zeta-coordinates
+    tower = SMALL[p]
+    for level in range(tower.max_level + 1):
+        for base in BASES:
+            for seed in range(10):
+                rng = random.Random(1000 * level + seed)
+                x, y = tower.random_integral(level, rng), tower.random_integral(level, rng)
+                dx = differential(tower, x, base).rep
+                dy = differential(tower, y, base).rep
+                dxy = differential(tower, tower.mul(x, y), base)
+                rhs = tower.mul(x, dy) + tower.mul(y, dx)
+                assert dxy.same_class(OmegaClass(level, base, rhs, dxy.modulus_val))
 
 
 def test_omega_class_modularity(t3):
@@ -445,7 +459,7 @@ def differential_oracle(tower, x, base, level):
 
 def different_qp_oracle(tower, level):
     """g'(rho) over Q_p by Horner's rule on k g_k."""
-    g = tower.minimal_polynomial_qp(level)
+    g = minimal_polynomial_qp(tower, level)
     acc = tower.zero(level)
     for k in range(len(g) - 1, 0, -1):
         acc = mul_rho_oracle(tower, acc) + tower.constant(level, k * g[k])
@@ -483,6 +497,24 @@ def test_differential_matches_horner_byte_for_byte(case, base, up):
     got = differential(tower, x, base, level).rep
     assert got.to_json() == differential_oracle(tower, x, base, level).to_json()
     assert got.cap <= tower.prec
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t.minpoly_derivative_at_rho(-1),
+        lambda t: t.minpoly_derivative_at_rho(-1, over_qp=True),
+        lambda t: different(t, -1, "K0"),
+        lambda t: different(t, -1, "Qp"),
+        lambda t: sublevel_columns(t, -1, 1),
+        lambda t: galois_defect_cell(t, -1, 1),
+    ],
+    ids=["minpoly-K0", "minpoly-Qp", "different-K0", "different-Qp", "sublevel", "c3-cell"],
+)
+def test_a_negative_level_raises_domain_error(t3, call):
+    # each of these once formed p^level, a float, before any level check
+    with pytest.raises(DomainError):
+        call(t3)
 
 
 def test_different_matches_horner_byte_for_byte(t3, t2):

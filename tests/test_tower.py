@@ -465,6 +465,18 @@ def minimal_polynomial(tower, level):
     return tuple(coeffs)
 
 
+def minimal_polynomial_qp(tower, level):
+    """Integer coefficients of the monic minimal polynomial of rho_level over
+    Q_p: Phi_q(1+X) for odd p, Phi_q(1-X) for p = 2."""
+    p, h, phi = tower.p, tower.h(level), tower.phi(level)
+    coeffs = [0] * (phi + 1)
+    for i in range(p):
+        for k in range(i * h + 1):
+            c = math.comb(i * h, k)
+            coeffs[k] += -c if p == 2 and k & 1 else c
+    return coeffs
+
+
 def dual_basis_oracle(tower, level):
     """The trace-dual basis from the quotients q_(i-1) = q_i rho + g_i of the
     minimal polynomial g by X - rho."""
@@ -693,7 +705,7 @@ def test_minimal_polynomial_matches_conjugate_product(tw):
 def test_minimal_polynomial_qp(tw, tw2):
     for t in (tw, tw2):
         for level in (1, min(2, t.max_level)):
-            coeffs = t.minimal_polynomial_qp(level)
+            coeffs = minimal_polynomial_qp(t, level)
             assert len(coeffs) == t.phi(level) + 1
             assert coeffs[-1] == 1
             assert coeffs[0] == t.p
