@@ -11,9 +11,9 @@ and everything else is a minimum or a threshold on it:
 
 * `PerpSeries.decay_margin` is min_n (val(R_n_perp x) - n);
 * `w2_valuation` is its floor;
-* `layered_sum_membership` decides x in sum_n p^(n-c) O_{K_n} componentwise,
-  which is exact because R_n_perp maps each O_{K_m} into integers and kills
-  the levels below n;
+* `layered_sum_membership` reports the least c >= 0 with x in
+  sum_n p^(n-c) O_{K_n}, read componentwise, which is exact because R_n_perp
+  maps each O_{K_m} into integers and kills the levels below n;
 * `flatness_test` measures val((g_k - 1) x) - k for the layer generators g_k.
 """
 
@@ -126,48 +126,27 @@ def w2_valuation(tower: CyclotomicTower, x: TowerElement) -> int:
 @dataclass(frozen=True)
 class MembershipVerdict:
     member_strict: bool  # passes with no slack
-    member: bool  # passes at the requested slack
-    slack: int  # the slack the test was run at
     slack_needed: int  # smallest c >= 0 at which the test passes
-    failing_level: Optional[int]  # first violating level at the given slack
     margins: tuple  # val(R_n_perp x) - n per level, None = no constraint
-    terms: tuple  # extracted y_n = p^(-n) R_n_perp(x), one per level
 
 
-def layered_sum_membership(
-    tower: CyclotomicTower, x: TowerElement, slack: int = 0
-) -> MembershipVerdict:
-    """Decides x in sum_{n<=level} p^(n-slack) O_{K_n}.
+def layered_sum_membership(tower: CyclotomicTower, x: TowerElement) -> MembershipVerdict:
+    """The least slack c >= 0 with x in sum_{n<=level} p^(n-c) O_{K_n}.
 
-    Membership is equivalent to val(R_n_perp x) >= n - slack for every n:
-    the projectors map the candidate sum into exactly those bounds, and the
-    extracted terms y_n = p^(-n) R_n_perp(x) exhibit the decomposition
-    x = sum_n p^n y_n whenever they are integral.  Both the strict and the
-    slack verdicts are reported.
+    Membership at slack c is equivalent to val(R_n_perp x) >= n - c for
+    every n: the projectors map the candidate sum into exactly those bounds,
+    and y_n = p^(-n) R_n_perp(x) exhibit the decomposition x = sum_n p^n y_n
+    whenever they are integral.
     """
-    if slack < 0:
-        raise DomainError("slack must be >= 0")
-    comps = perp_series_decompose(tower, x).components
-    margins = perp_margins(tower, comps)
+    margins = perp_margins(tower, perp_series_decompose(tower, x).components)
     finite = [m for m in margins if m is not None]
     needed = max(0, math.ceil(-min(finite))) if finite else 0
-    failing = next(
-        (n for n, m in enumerate(margins) if m is not None and m < -slack), None
-    )
-    terms = tuple(tower.scale_p(comp, -n) for n, comp in enumerate(comps))
-    return MembershipVerdict(
-        needed == 0, failing is None, slack, needed, failing, tuple(margins), terms
-    )
+    return MembershipVerdict(needed == 0, needed, tuple(margins))
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
-    level: int
-    margins: tuple  # (k, val((g_k - 1) x) - k or None) for each tested k
-
-
-def flatness_test(tower: CyclotomicTower, x: TowerElement) -> FlatnessReport:
-    """Margins val((g_k - 1) x) - k for the layer generators g_k, k < level.
+def flatness_test(tower: CyclotomicTower, x: TowerElement) -> tuple:
+    """(k, val((g_k - 1) x) - k or None) for the layer generators g_k, k <
+    level: None where g_k fixes x to working precision.
 
     g_k generates the automorphisms fixing K_k, so a nonnegative margin at
     every k certifies that x sits p^k-close to each sublevel in the Galois
@@ -179,4 +158,4 @@ def flatness_test(tower: CyclotomicTower, x: TowerElement) -> FlatnessReport:
         g = tower.layer_generator(k, lev)
         v = tower.valuation_or_none(tower.galois_apply(g, x) - x)
         out.append((k, None if v is None else v - k))
-    return FlatnessReport(lev, tuple(out))
+    return tuple(out)

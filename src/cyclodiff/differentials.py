@@ -4,8 +4,9 @@ For x in O_{K_n} the module of differentials relative to a base (O_{K_0} or
 Z_p) is cyclic: Omega = O_{K_n}/d_n * d(rho_n), where d_n is the different
 ideal.  Everything here is phrased through that presentation:
 
-* `differential(x)` produces the class (dx/d rho) d(rho) by the chain rule on
-  x's zeta-coordinates, with zeta^(p^n) = zeta_0 constant over K_0;
+* `differential(x)` produces the class (dx/d rho) d(rho) at x's level n by
+  the chain rule on x's zeta-coordinates, with zeta^(p^n) = zeta_0 constant
+  over K_0;
 * `different` returns the generator g'(rho_n) of the different, in closed
   form, with its exact valuation, `modulus_valuation` (n over K_0, n + s -
   1/(p-1) over Q_p);
@@ -13,7 +14,12 @@ ideal.  Everything here is phrased through that presentation:
   rho_0^j * rho_n^i of O_{K_n} (j < phi(0), i < p^n), where the kernel of d
   and the layered sums sum_m p^m O_{K_m} can be compared head to head; the
   columns of each O_{K_m} there (`sublevel_columns`) are the tower's Pascal
-  transform of rho_m^i, with no products.
+  transform of rho_m^i, with no products;
+* `random_kernel_element` draws ker(d) over O_{K_0}, lane ints straight into
+  the inverse Pascal transform, and `divisibility_exponent` reads each
+  exponent, by coefficients at or above x's level and by lattice membership
+  below it.  Membership in the layered sums, with its least slack, is read
+  componentwise in `completion`.
 
 Every elimination over Z_p runs through one integer kernel, `echelon`:
 valuation-greedy column reduction of plain ints mod p^N.  Because Z_p is a
@@ -33,7 +39,7 @@ from typing import List, Optional, Tuple
 
 from .errors import DomainError
 from .padic import PadicScalar, pack_profile, vp
-from .tower import CyclotomicTower, RhoExpansion, TowerElement
+from .tower import CyclotomicTower, TowerElement
 
 BASES = ("K0", "Qp")
 
@@ -50,8 +56,6 @@ def _check_base(base: str):
 
 @dataclass(frozen=True)
 class DifferentData:
-    level: int
-    base: str
     generator: TowerElement
     valuation: Fraction
 
@@ -87,7 +91,7 @@ def different(tower: CyclotomicTower, level: int, base: str = "K0") -> Different
         raise DomainError(
             f"different generator valuation {got} != expected {expected}"
         )
-    return DifferentData(level, base, gen, got)
+    return DifferentData(gen, got)
 
 
 def modulus_valuation(tower: CyclotomicTower, level: int, base: str) -> Fraction:
@@ -97,18 +101,13 @@ def modulus_valuation(tower: CyclotomicTower, level: int, base: str) -> Fraction
     return Fraction(level + tower.s) - Fraction(1, tower.p - 1)
 
 
-def differential(
-    tower: CyclotomicTower, x: TowerElement, base: str = "K0", level: Optional[int] = None
-) -> OmegaClass:
-    """The class of dx in Omega^1 of O_{K_level} over the base ring: the rep
-    is dx/d(rho) by the chain rule on zeta-coordinates, reading j mod p^level
-    over K_0 (zeta^(p^level) = zeta_0 has d = 0) and j over Q_p
+def differential(tower: CyclotomicTower, x: TowerElement, base: str = "K0") -> OmegaClass:
+    """The class of dx in Omega^1 of O_{K_n}, n = level(x), over the base
+    ring: the rep is dx/d(rho) by the chain rule on zeta-coordinates, reading
+    j mod p^n over K_0 (zeta^(p^n) = zeta_0 has d = 0) and j over Q_p
     (`CyclotomicTower.rho_derivative`), known to min(x.cap, prec)."""
     _check_base(base)
-    level = x.level if level is None else level
-    if level < x.level:
-        raise DomainError("differential level below the element's level")
-    x = tower.embed(x, level)
+    level = x.level
     v = tower.valuation_or_none(x)
     if v is not None and v < 0:
         raise DomainError("differential is defined on integral elements")
@@ -128,8 +127,6 @@ def level_transition_factor(tower: CyclotomicTower, n: int, m: int) -> TowerElem
 
 @dataclass(frozen=True)
 class BaseChangeReport:
-    omega_qp: OmegaClass
-    omega_k0: OmegaClass
     compatible: bool
     kernel_exponent: int
 
@@ -143,7 +140,7 @@ def base_change_compare(tower: CyclotomicTower, x: TowerElement) -> BaseChangeRe
     pushed = OmegaClass(b.level, "K0", a.rep, b.modulus_val)
     r_val = different(tower, 0, "Qp").valuation
     r = math.ceil(r_val)
-    return BaseChangeReport(a, b, pushed.same_class(b), r)
+    return BaseChangeReport(pushed.same_class(b), r)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def mixed_coords(tower: CyclotomicTower, x: TowerElement) -> List[PadicScalar]:
     """Z_p coordinates of x in the basis rho_0^j rho_n^i of K_n,
     index order i * phi(0) + j."""
     out: List[PadicScalar] = []
-    for c in tower.to_rho_basis(x).coeffs:
+    for c in tower.to_rho_basis(x):
         out.extend(tower.rho_power_coords(c))
     return out
 
@@ -392,25 +389,17 @@ def layer_sum_columns(tower: CyclotomicTower, n: int):
     ]
 
 
-def random_kernel_element(tower: CyclotomicTower, level: int, rng, base: str = "K0") -> TowerElement:
-    """Random Z_p-combination of the kernel lattice generators."""
-    ker = kernel_lattice(tower, level, base)
-    p, prec = tower.p, tower.prec
-
-    def draw(e):
-        # c p^e with c drawn below p^(prec - e), known mod p^prec
-        return PadicScalar.from_int(p, rng.randrange(p ** (prec - e)) * p ** e, prec)
-
-    if ker.base == "Qp":
-        return tower.from_rho_power_coords(level, [draw(e) for e in ker.exps])
-    d0 = tower.phi(0)
+def random_kernel_element(tower: CyclotomicTower, level: int, rng) -> TowerElement:
+    """Random Z_p-combination of the generators of ker(d) over O_{K_0}: each
+    rho_0^j p^a rho_n^i, p^a the least power with rho_0^j p^a in rho_0^r
+    O_{K_0}, r = exps[i], takes c p^a with c drawn below p^(prec - a)."""
+    p, prec, d0 = tower.p, tower.prec, tower.phi(0)
     coeffs = []
-    for r in ker.exps:
-        # the generators rho_0^j p^a rho_n^i, p^a the least power with
-        # rho_0^j p^a in rho_0^r O_{K_0}
-        lane = [draw(max(0, -((j - r) // d0))) for j in range(d0)]
+    for r in kernel_lattice(tower, level).exps:
+        exps = [max(0, -((j - r) // d0)) for j in range(d0)]
+        lane = [rng.randrange(p ** (prec - a)) * p ** a for a in exps]
         coeffs.append(tower.from_rho_power_coords(0, lane))
-    return tower.from_rho_basis(RhoExpansion(level, tuple(coeffs)))
+    return tower.from_rho_basis(level, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +407,7 @@ def random_kernel_element(tower: CyclotomicTower, level: int, rng, base: str = "
 # ---------------------------------------------------------------------------
 
 
-def divisibility_exponent(
-    tower: CyclotomicTower, x: TowerElement, m: int, i_cap: Optional[int] = None
-) -> Optional[int]:
+def divisibility_exponent(tower: CyclotomicTower, x: TowerElement, m: int) -> Optional[int]:
     """Largest i >= 0 with dx in p^i d(O_{K_m}) inside Omega of level
     max(m, level(x)) over K_0; -1 when even i = 0 fails, None when dx is the
     zero class (every i works).
@@ -428,12 +415,12 @@ def divisibility_exponent(
     For m >= level(x) the test is coefficientwise: the slot constraint from
     p^i d(O_{K_m}) + p^m O is val(c_k) >= i exactly on the slots with
     val(k c_k rho^(k-1)) < m.  For m < level(x) it is lattice membership
-    x in p^i O_{K_m} + ker(d).
+    x in p^i O_{K_m} + ker(d), tried for i up to m + 8.
     """
     tower._check_level(m)
     lev = x.level
     if m >= lev:
-        coeffs = tower.to_rho_basis(tower.embed(x, m)).coeffs
+        coeffs = tower.to_rho_basis(tower.embed(x, m))
         best = None
         for k in range(1, len(coeffs)):
             vc = tower.valuation_or_none(coeffs[k])
@@ -447,9 +434,8 @@ def divisibility_exponent(
     base_cols = sublevel_columns(tower, m, lev)
     xvec = mixed_coords(tower, x)
     dim = len(xvec)
-    cap = (m + 8) if i_cap is None else i_cap
     last_ok = -1
-    for i in range(cap + 1):
+    for i in range(m + 9):
         cols = [[e.shift(i) for e in col] for col in base_cols] + ker_cols
         lat = LatticeBasis.from_generators(tower.p, dim, cols)
         if not lat.contains(xvec):
@@ -468,7 +454,6 @@ class FlatDecomposition:
     """x = sum of parts + tail with parts[k-1] at level n-k+1 divisible by
     p^(n-k+1-n1) and the tail integral at level n1."""
 
-    n1: int
     parts: tuple  # TowerElements, parts[k-1] at level n-k+1
     tail: TowerElement
     margins: tuple  # val(part) - required valuation, one per part, Fraction
@@ -481,12 +466,12 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
     # x = sum_i c_i rho_n^i.  layers[k] = sum_j c_(p^k j) rho_(n-k)^j, cut to
     # the working precision: layers[0] is x, the parts are the steps
     # layers[k-1] - layers[k], and the last layer is the tail.
-    xc, p = tower.to_rho_basis(x).coeffs, tower.p
+    xc, p = tower.to_rho_basis(x), tower.p
     if not _k0_coeffs_in_kernel(tower, kernel_lattice(tower, n, "K0"), xc):
         raise DomainError("decomposition needs dx = 0 (x in the kernel lattice)")
     layers = []
     for k in range(n - n1 + 1):
-        layer = tower.from_rho_basis(RhoExpansion(n - k, xc[:: p ** k]))
+        layer = tower.from_rho_basis(n - k, xc[:: p ** k])
         layers.append(tower.truncate(layer, min(layer.cap, tower.prec)))
     parts = []
     margins = []
@@ -500,4 +485,4 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
     tail = layers[-1]
     if not (layers[0] - x).is_all_bottom:
         raise DomainError("internal error: decomposition failed to telescope")
-    return FlatDecomposition(n1, tuple(parts), tail, tuple(margins))
+    return FlatDecomposition(tuple(parts), tail, tuple(margins))

@@ -13,6 +13,7 @@ too shallow for the statement being tested.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 from typing import List, Optional
 
@@ -485,8 +486,7 @@ def _run_diffvec(tower, seed, constants, samples):
             y = y + tower.embed(tower.scale_p(part, n + offset), level)
         verdict = layered_sum_membership(tower, y)
         margins_ok = all(m is None or m >= offset for m in verdict.margins)
-        flat = flatness_test(tower, y)
-        flat_ok = all(v is None or v >= offset for _, v in flat.margins)
+        flat_ok = all(v is None or v >= offset for _, v in flatness_test(tower, y))
         if verdict.member_strict and margins_ok and flat_ok:
             forward_ok += 1
     yield _assertion(
@@ -501,13 +501,13 @@ def _run_diffvec(tower, seed, constants, samples):
         z = tower.zeta(m)
         verdict = layered_sum_membership(tower, z)
         flat = flatness_test(tower, z)
-        finite = [v for _, v in flat.margins if v is not None]
+        finite = [v for _, v in flat if v is not None]
         bounded = all(v <= cap for v in finite)
         if (not verdict.member_strict) and verdict.slack_needed == m and bounded:
             reverse_ok += 1
         reverse_detail[str(m)] = {
             "slack_needed": verdict.slack_needed,
-            "margins": [[k, _frozen(v)] for k, v in flat.margins],
+            "margins": [[k, _frozen(v)] for k, v in flat],
         }
     yield _assertion(
         "root-of-unity-witnesses-rejected",
@@ -518,7 +518,7 @@ def _run_diffvec(tower, seed, constants, samples):
         pinned = True
         for m in range(1, tower.max_level + 1):
             flat = flatness_test(tower, tower.embed(tower.zeta(1), m))
-            finite = [(k, v) for k, v in flat.margins if v is not None]
+            finite = [(k, v) for k, v in flat if v is not None]
             pinned = pinned and finite == [(0, Fraction(1, 2))]
         yield _assertion(
             "first-layer-witness-margin",
@@ -588,6 +588,12 @@ def run_suite(
     check_sample_count(samples)
     if constants is None:
         constants = estimate_constants(tower, seed=seed, samples=CONSTANTS_SAMPLES)
+    measured_on = (constants.p, constants.s, constants.max_level, constants.prec)
+    if measured_on != astuple(tower.params):
+        raise DomainError(
+            f"constants measured at (p, s, max_level, prec) = {measured_on}, "
+            f"but the tower is {astuple(tower.params)}"
+        )
     runner, default_samples = SUITES[name]
     if samples is None:
         samples = default_samples

@@ -47,20 +47,19 @@ words by `struct` and w strided slice copies; wider slots are joined and
 sliced as bytes (`_encode`, `_decode`).  It folds the slots and normalises: it
 reduces mod p^digits and moves the common power of p into the shift, so its
 output is exactly the packed form of the product.  `mul` is one kernel call
-between `_pack` and `_unpack` (a scalar enters as its `constant`, and an int
-only scales the ints); `power` and `norm_down` chain kernel calls on
-triples; `galois_apply`, `trace_down` and `norm_down` share one Galois loop on
-the ints, `_act`.
+between `_pack` and `_unpack` (a rational or a scalar enters as its
+`constant`, and an int only scales the ints); `power` and `norm_down` chain
+kernel calls on triples; `galois_apply`, `trace_down` and `norm_down` share
+one Galois loop on the ints, `_act`.
 
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
-missing view on first use; coordinates with different caps (JSON input,
-rho-power coordinates) are read at their least cap when the element is built,
-and only the triple is kept.  `add` alone works on the coordinates.  Every
-other op reads and returns the triple, normalised by
-`_normalise` (digits = 0 or some int is prime to p): `embed` spreads the ints
-with stride p^k, `scale_p` moves the shift, the projectors gather every
-p^k-th int, and `coeffs` builds the `PadicScalar`s on first read, so a chain
-of packed ops builds none.
+missing view on first use; coordinates with different caps (JSON input)
+are read at their least cap when the element is built, and only the triple
+is kept.  `add` alone works on the coordinates.  Every other op reads and
+returns the triple, normalised by `_normalise` (digits = 0 or some int is
+prime to p): `embed` spreads the ints with stride p^k, `scale_p` moves the
+shift, the projectors gather every p^k-th int, and `coeffs` builds the
+`PadicScalar`s on first read, so a chain of packed ops builds none.
 
 Inversion strips x = p^a rho^r u down to the unit u, each power of p a move of
 the shift, and runs Newton's method on u's triple with precision doubling:
@@ -245,7 +244,7 @@ class TowerElement:
         return self.tower.power(self, n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, PadicScalar)):
+        if isinstance(other, (int, Fraction, PadicScalar)):
             other = self.tower.constant(self.level, other)
         if not isinstance(other, TowerElement):
             return NotImplemented
@@ -266,14 +265,6 @@ class TowerElement:
 
     def to_json(self) -> dict:
         return {"level": self.level, "coeffs": [c.to_json() for c in self.coeffs]}
-
-
-@dataclass(frozen=True)
-class RhoExpansion:
-    """x = sum_i coeffs[i] * rho_level^i with level-0 coefficients."""
-
-    level: int
-    coeffs: tuple
 
 
 class CyclotomicTower:
@@ -363,12 +354,12 @@ class CyclotomicTower:
         ints = [value.unit] + [0] * (self.phi(level) - 1)
         return self._unpack(level, (shift, value.prec - shift, ints))
 
-    def zeta(self, level: int, exponent: int = 1, prec: Optional[int] = None) -> TowerElement:
+    def zeta(self, level: int, exponent: int = 1) -> TowerElement:
         self._check_level(level)
         q = self.q(level)
         one_hot = [0] * q
         one_hot[exponent % q] = 1
-        return self.from_int_coeffs(level, self.fold(level, one_hot), prec)
+        return self.from_int_coeffs(level, self.fold(level, one_hot))
 
     def from_int_coeffs(self, level: int, ints, prec: Optional[int] = None) -> TowerElement:
         self._check_level(level)
@@ -380,10 +371,10 @@ class CyclotomicTower:
         ints += [0] * (phi - len(ints))
         return self._unpack(level, self._normalise(0, prec, ints))
 
-    def uniformizer(self, level: int, prec: Optional[int] = None) -> TowerElement:
+    def uniformizer(self, level: int) -> TowerElement:
         """rho_level: zeta - 1 for odd p, 1 - zeta for p = 2 (the sign that
         makes the norm chain exact)."""
-        return self.rho_power(level, 1, prec)
+        return self.rho_power(level, 1)
 
     def rho_power(self, level: int, k: int, prec: Optional[int] = None) -> TowerElement:
         """rho_level^k for 0 <= k < phi: (zeta - 1)^k for odd p, (1 - zeta)^k
@@ -474,14 +465,14 @@ class CyclotomicTower:
         return self._normalise(sa + sb, min(da, db), self.fold(level, zs))
 
     def mul(self, x: TowerElement, y) -> TowerElement:
-        """x y on the triples.  By an int k the cap rises by vp(k); a scalar c
-        goes through `constant` into `_product`, whose cap min(cap_x + val_c,
-        shift_x + prec_c) is the scalar rule."""
+        """x y on the triples.  By an int k the cap rises by vp(k); a rational
+        or a scalar c goes through `constant` into `_product`, whose cap
+        min(cap_x + val_c, shift_x + prec_c) is the scalar rule."""
         if isinstance(y, int):
             shift, digits, ints = self._pack(x)
             t = vp(y, self.p) if y else 0
             return self._unpack(x.level, self._normalise(shift, digits + t, [a * y for a in ints]))
-        if isinstance(y, PadicScalar):
+        if isinstance(y, (Fraction, PadicScalar)):
             y = self.constant(x.level, y)
         elif not isinstance(y, TowerElement):
             return NotImplemented
@@ -683,12 +674,14 @@ class CyclotomicTower:
             return [PadicScalar.bottom(self.p, sx)] * self.phi(x.level)
         return [PadicScalar.raw(self.p, sx, c, sx + dx) for c in self._rho_digits(ints, dx)]
 
-    def from_rho_power_coords(self, level: int, coords) -> TowerElement:
-        """sum_k coords[k] rho_level^k over Q_p, the inverse of
-        `rho_power_coords`; coords with different caps are read at the least
-        one, as an element's coordinates are."""
+    def from_rho_power_coords(self, level: int, ints, prec: Optional[int] = None) -> TowerElement:
+        """sum_k ints[k] rho_level^k over Q_p at cap prec, the inverse of
+        `rho_power_coords` on the ints, as `from_int_coeffs` reads them."""
         self._check_level(level)
-        shift, digits, ints = self._pack(TowerElement(self, level, coords))
+        ints, phi = list(ints), self.phi(level)
+        if len(ints) != phi:
+            raise DomainError(f"level {level} needs {phi} coordinates, got {len(ints)}")
+        shift, digits, ints = self._normalise(0, self.prec if prec is None else prec, ints)
         out = list(self._rho_digits(ints, digits, inverse=True))
         return self._unpack(level, (shift, digits, out))
 
@@ -768,8 +761,8 @@ class CyclotomicTower:
             got = self._dual_basis[level] = self.invert(gp), rows
         return got
 
-    def to_rho_basis(self, x: TowerElement) -> RhoExpansion:
-        """Expansion x = sum_i c_i rho^i with c_i in K_0, by Euler's formula
+    def to_rho_basis(self, x: TowerElement) -> tuple:
+        """The c_i in K_0 of x = sum_i c_i rho^i, by Euler's formula
         (`_dual_data`): c_i = Tr_{K_n/K_0}(y q_i) = p^n R_0(y q_i) for the one
         product y = x g'(rho)^-1.  y q_i = sum_k row_i[k] y rho^k, so lane t of
         R_0(y q_i) sums row i against int d t of y, y rho, ..., y rho^(d-1);
@@ -778,7 +771,7 @@ class CyclotomicTower:
         above the shift s_y + s_q, and p^n moves the shift."""
         level = x.level
         if level == 0:
-            return RhoExpansion(0, (x,))
+            return (x,)
         d = self.degree(level)
         gp_inv, rows = self._dual_data(level)
         sy, dy, ints = self._pack(self.mul(x, gp_inv))
@@ -792,14 +785,13 @@ class CyclotomicTower:
         for sq, dq, row in rows:
             lane = [sum(map(mul, row, t)) for t in lanes]
             coeffs.append(self._unpack(0, self._normalise(sy + level + sq, min(dy, dq), lane)))
-        return RhoExpansion(level, tuple(coeffs))
+        return tuple(coeffs)
 
-    def from_rho_basis(self, expansion: RhoExpansion) -> TowerElement:
-        """sum_i c_i rho_n^i for level-0 coefficients c_i, read through their
-        triples at the least shift and cap.  zeta_n^d = zeta_0 for d = p^n, so
-        the zeta_n-coordinate i + d t of the sum is coordinate i of the inverse
-        Pascal transform of lane t, (c_0[t], ..., c_(d-1)[t])."""
-        level, coeffs = expansion.level, expansion.coeffs
+    def from_rho_basis(self, level: int, coeffs) -> TowerElement:
+        """sum_i c_i rho_level^i for level-0 coefficients c_i, read through
+        their triples at the least shift and cap.  zeta_n^d = zeta_0 for d =
+        p^n, so the zeta_n-coordinate i + d t of the sum is coordinate i of the
+        inverse Pascal transform of lane t, (c_0[t], ..., c_(d-1)[t])."""
         self._check_level(level)
         d = self.degree(level)
         if len(coeffs) != d:
@@ -912,20 +904,17 @@ class CyclotomicTower:
 
     # -- randomness ---------------------------------------------------------------------
 
-    def random_integral(self, level: int, rng, prec: Optional[int] = None) -> TowerElement:
+    def random_integral(self, level: int, rng) -> TowerElement:
         self._check_level(level)
-        prec = self.prec if prec is None else prec
-        m = self.p ** prec
-        return self.from_int_coeffs(
-            level, [rng.randrange(m) for _ in range(self.phi(level))], prec
-        )
+        m = self.p ** self.prec
+        return self.from_int_coeffs(level, [rng.randrange(m) for _ in range(self.phi(level))])
 
-    def random_unit(self, level: int, rng, prec: Optional[int] = None) -> TowerElement:
+    def random_unit(self, level: int, rng) -> TowerElement:
         """The draw of `random_integral`, plus 1 when it is 0 mod rho: zeta =
         1 mod rho, so x mod rho is the sum of the coordinates mod p."""
         self._check_level(level)
-        m = self.p ** (self.prec if prec is None else prec)
+        m = self.p ** self.prec
         ints = [rng.randrange(m) for _ in range(self.phi(level))]
         if sum(ints) % self.p == 0:
             ints[0] += 1
-        return self.from_int_coeffs(level, ints, prec)
+        return self.from_int_coeffs(level, ints)

@@ -221,17 +221,17 @@ def test_criterion_10_membership_vs_flatness(t3):
         ok = ok and verdict.member_strict
         ok = ok and all(m is None or m >= offset for m in verdict.margins)
         flat = flatness_test(t3, y)
-        ok = ok and all(v is None or v >= offset for _, v in flat.margins)
+        ok = ok and all(v is None or v >= offset for _, v in flat)
     for m in range(1, 5):
         z = t3.zeta(m)
         verdict = layered_sum_membership(t3, z)
         ok = ok and not verdict.member_strict
         ok = ok and verdict.slack_needed == m
-        finite = [v for _, v in flatness_test(t3, z).margins if v is not None]
+        finite = [v for _, v in flatness_test(t3, z) if v is not None]
         ok = ok and all(v <= Fraction(1, 2) for v in finite)
         pinned = [
             (k, v)
-            for k, v in flatness_test(t3, t3.embed(t3.zeta(1), m)).margins
+            for k, v in flatness_test(t3, t3.embed(t3.zeta(1), m))
             if v is not None
         ]
         ok = ok and pinned == [(0, Fraction(1, 2))]

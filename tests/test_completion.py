@@ -3,11 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodiff.errors import DomainError, ValuationOfZero
+from cyclodiff.errors import ValuationOfZero
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.completion import (
-    FlatnessReport,
-    MembershipVerdict,
     PerpSeries,
     flatness_test,
     layered_sum_membership,
@@ -82,32 +80,20 @@ def test_layered_sum_member_positive(t3, t2):
         for n in range(4):
             x = x + tower.scale_p(tower.embed(tower.random_integral(n, rng), 3), n)
         verdict = layered_sum_membership(tower, x)
-        assert verdict.member
+        assert verdict.member_strict
         assert verdict.slack_needed == 0
-        assert verdict.failing_level is None
         assert all(m is None or m >= 0 for m in verdict.margins)
 
 
 def test_layered_sum_rejects_zeta9(t3):
     x = t3.embed(t3.zeta(1), 2)
     verdict = layered_sum_membership(t3, x)
-    assert not verdict.member
     assert not verdict.member_strict
-    assert verdict.failing_level == 1
+    # level 1 fails, by exactly the slack it needs
+    assert verdict.margins == (None, -1, None)
     assert verdict.slack_needed == 1
-    # with the reported slack it passes
-    v1 = layered_sum_membership(t3, x, slack=1)
-    assert v1.member and not v1.member_strict
     # scaling by p repairs membership outright
     assert layered_sum_membership(t3, x * 3).member_strict
-
-
-def test_membership_extracts_terms(t3):
-    # y = 3 zeta_9 decomposes with y_1 = zeta_9 at level 1
-    verdict = layered_sum_membership(t3, t3.zeta(1) * 3)
-    assert verdict.member_strict
-    assert (verdict.terms[1] - t3.zeta(1)).is_all_bottom
-    assert verdict.terms[0].is_all_bottom
 
 
 def test_series_decay_margin_and_certification(t3):
@@ -150,14 +136,8 @@ def test_series_invert_matches_geometric_series(t3):
     assert (inv - geom).is_all_bottom
 
 
-def test_layered_sum_slack_validation(t3):
-    with pytest.raises(DomainError):
-        layered_sum_membership(t3, t3.one(1), slack=-1)
-
-
 def test_flatness_of_zeta9(t3):
-    rep = flatness_test(t3, t3.zeta(1))
-    assert rep.margins == ((0, Fraction(1, 2)),)
+    assert flatness_test(t3, t3.zeta(1)) == ((0, Fraction(1, 2)),)
 
 
 def test_flatness_margins_of_layered_element(t3):
@@ -166,15 +146,15 @@ def test_flatness_margins_of_layered_element(t3):
     x = t3.zero(2)
     for n in range(3):
         x = x + t3.scale_p(t3.embed(t3.random_integral(n, rng), 2), n)
-    rep = flatness_test(t3, x)
-    assert len(rep.margins) == 2
-    assert all(m is None or m >= 0 for _, m in rep.margins)
+    margins = flatness_test(t3, x)
+    assert len(margins) == 2
+    assert all(m is None or m >= 0 for _, m in margins)
 
 
 def test_flatness_fixed_element_has_no_margin(t3):
     # an embedded level-0 element is fixed by every layer generator
-    rep = flatness_test(t3, t3.embed(t3.uniformizer(0), 2))
-    assert all(m is None for _, m in rep.margins)
+    margins = flatness_test(t3, t3.embed(t3.uniformizer(0), 2))
+    assert all(m is None for _, m in margins)
 
 
 def test_perp_series_json(t3):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -82,7 +83,7 @@ def test_fouvar_margin_floor_is_the_least_margin(t3, cons3, monkeypatch):
     margins = iter([(Fraction(-2),), (Fraction(-1),)])
 
     def fake(tower, x, n1):
-        return FlatDecomposition(n1, (), tower.zero(n1), next(margins))
+        return FlatDecomposition((), tower.zero(n1), next(margins))
 
     monkeypatch.setattr(harness, "flat_decompose", fake)
     rep = run_suite(t3, "fouvar", seed=0, constants=cons3, samples=2)
@@ -102,6 +103,21 @@ def test_bad_sample_count_rejected(t3, cons3, samples):
         run_suite(t3, "rhoval", constants=cons3, samples=samples)
     with pytest.raises(DomainError):
         run_all(t3, samples=samples)
+
+
+def test_constants_from_another_tower_rejected(t2, cons3):
+    # p = 3 constants on a p = 2 tower would fail fonemb for the wrong reason
+    with pytest.raises(DomainError, match="constants measured"):
+        run_suite(t2, "rhoval", constants=cons3, samples=3)
+    with pytest.raises(DomainError, match="constants measured"):
+        run_all(t2, samples=2, constants=cons3)
+
+
+@pytest.mark.parametrize("field", ["p", "s", "max_level", "prec"])
+def test_constants_must_match_every_tower_parameter(t3, cons3, field):
+    wrong = replace(cons3, **{field: getattr(cons3, field) + 1})
+    with pytest.raises(DomainError, match="constants measured"):
+        run_suite(t3, "rhoval", constants=wrong, samples=3)
 
 
 def test_run_all_shares_constants(t3, cons3):
