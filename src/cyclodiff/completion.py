@@ -125,8 +125,7 @@ def w2_valuation(tower: CyclotomicTower, x: TowerElement) -> int:
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    member_strict: bool  # passes with no slack
-    slack_needed: int  # smallest c >= 0 at which the test passes
+    slack_needed: int  # smallest c >= 0 at which the test passes; 0 = member
     margins: tuple  # val(R_n_perp x) - n per level, None = no constraint
 
 
@@ -141,7 +140,7 @@ def layered_sum_membership(tower: CyclotomicTower, x: TowerElement) -> Membershi
     margins = perp_margins(tower, perp_series_decompose(tower, x).components)
     finite = [m for m in margins if m is not None]
     needed = max(0, math.ceil(-min(finite))) if finite else 0
-    return MembershipVerdict(needed == 0, needed, tuple(margins))
+    return MembershipVerdict(needed, tuple(margins))
 
 
 def flatness_test(tower: CyclotomicTower, x: TowerElement) -> tuple:

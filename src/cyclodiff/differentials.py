@@ -185,7 +185,9 @@ def echelon(p: int, int_columns, digits: int):
     The one elimination kernel of the package.  Each round picks the pivot
     with the smallest (valuation, row) among the nonzero entries in unused
     rows, the first column winning ties; Z_p is a DVR, so this global
-    minimum keeps every elimination factor integral.  The pivot column is
+    minimum keeps every elimination factor integral.  The unused rows are
+    first scanned in order for an entry prime to p, which is that minimum;
+    the valuations are read only when no unit is left.  The pivot column is
     scaled until its pivot is exactly p^val and cleared from the remaining
     columns.  Returns (pivot_columns, pivots) with pivots[k] = (row, val);
     the vals ascend and are the elementary divisor valuations (Smith form
@@ -194,17 +196,14 @@ def echelon(p: int, int_columns, digits: int):
     """
     mod = p ** digits
     work = [[e % mod for e in col] for col in int_columns]
-    used = set()
+    unused = list(range(len(work[0]) if work else 0))
     reduced, pivots = [], []
     while work:
-        best = None  # (val, row, column index)
-        for ci, col in enumerate(work):
-            for r, entry in enumerate(col):
-                if entry == 0 or r in used:
-                    continue
-                v = vp(entry, p)
-                if best is None or (v, r) < best[:2]:
-                    best = (v, r, ci)
+        # the least (val, row, column index); a unit is it when there is one
+        best = next(((0, r, ci) for r in unused for ci, c in enumerate(work) if c[r] % p), None)
+        if best is None:
+            best = min(((vp(c[r], p), r, ci) for ci, c in enumerate(work)
+                        for r in unused if c[r]), default=None)
         if best is None:
             break
         v, r, ci = best
@@ -212,16 +211,13 @@ def echelon(p: int, int_columns, digits: int):
         pv = p ** v
         unit_inv = pow(pivot[r] // pv, -1, mod)
         pivot = [e * unit_inv % mod for e in pivot]
-        for other in work:
-            if other[r] == 0:
-                continue
+        for ci, other in enumerate(work):
             f = other[r] // pv
-            for i, e in enumerate(pivot):
-                if e:
-                    other[i] = (other[i] - f * e) % mod
+            if f:
+                work[ci] = [(o - f * e) % mod for o, e in zip(other, pivot)]
         reduced.append(pivot)
         pivots.append((r, v))
-        used.add(r)
+        unused.remove(r)
     return reduced, pivots
 
 

@@ -487,7 +487,7 @@ def _run_diffvec(tower, seed, constants, samples):
         verdict = layered_sum_membership(tower, y)
         margins_ok = all(m is None or m >= offset for m in verdict.margins)
         flat_ok = all(v is None or v >= offset for _, v in flatness_test(tower, y))
-        if verdict.member_strict and margins_ok and flat_ok:
+        if verdict.slack_needed == 0 and margins_ok and flat_ok:
             forward_ok += 1
     yield _assertion(
         "layered-membership-implies-flatness",
@@ -503,7 +503,7 @@ def _run_diffvec(tower, seed, constants, samples):
         flat = flatness_test(tower, z)
         finite = [v for _, v in flat if v is not None]
         bounded = all(v <= cap for v in finite)
-        if (not verdict.member_strict) and verdict.slack_needed == m and bounded:
+        if verdict.slack_needed == m and bounded:
             reverse_ok += 1
         reverse_detail[str(m)] = {
             "slack_needed": verdict.slack_needed,

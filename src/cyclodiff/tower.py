@@ -50,7 +50,11 @@ output is exactly the packed form of the product.  `mul` is one kernel call
 between `_pack` and `_unpack` (a rational or a scalar enters as its
 `constant`, and an int only scales the ints); `power` and `norm_down` chain
 kernel calls on triples; `galois_apply`, `trace_down` and `norm_down` share
-one Galois loop on the ints, `_act`.
+one Galois loop on the ints, `_act`, a gather through a cached index map.
+`power` takes the p-part p^k of n on a unit at one digit as Frobenius: mod p,
+x^(p^k) = sum_j a_j zeta^(j p^k), one re-index and one `fold`.  Units are
+closed under products, so the triple is square-and-multiply's; a non-unit can
+be nilpotent mod p, where the caps differ.
 
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
 missing view on first use; coordinates with different caps (JSON input)
@@ -77,10 +81,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain
 from math import gcd
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from .errors import (
@@ -114,6 +118,14 @@ def _decode(z: int, n: int, w: int):
     for i in range(w):
         buf[i::8] = zb[i::w]
     return struct.unpack(f"<{n}Q", buf)
+
+
+@lru_cache(maxsize=64)
+def _galois_index(q: int, phi: int, unit: int):
+    """The gather of ints[j] into slot unit j mod q of q slots: slot t reads
+    ints[t / unit], or the 0 appended at index phi when t / unit >= phi."""
+    inverse = pow(unit, -1, q)
+    return itemgetter(*[min(inverse * t % q, phi) for t in range(q)])
 
 
 def _comb_row(n: int) -> list:
@@ -244,7 +256,7 @@ class TowerElement:
         return self.tower.power(self, n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
+        if isinstance(other, (int, Fraction, PadicScalar, float)):
             other = self.tower.constant(self.level, other)
         if not isinstance(other, TowerElement):
             return NotImplemented
@@ -344,8 +356,12 @@ class CyclotomicTower:
         return self.constant(level, 1, prec)
 
     def constant(self, level: int, value, prec: Optional[int] = None) -> TowerElement:
-        """A rational at cap prec, or a scalar at its own cap, as a triple."""
+        """A rational (an int, a bool as 0 or 1, a Fraction; a float is not
+        the rational it was written as, so it is refused) at cap prec, or a
+        scalar at its own cap, as a triple."""
         self._check_level(level)
+        if not isinstance(value, (int, Fraction, PadicScalar)):
+            raise DomainError(f"a tower constant is an int, Fraction or scalar, not {value!r}")
         if not isinstance(value, PadicScalar):
             value = PadicScalar.from_fraction(self.p, value, self.prec if prec is None else prec)
         elif value.p != self.p:
@@ -472,7 +488,7 @@ class CyclotomicTower:
             shift, digits, ints = self._pack(x)
             t = vp(y, self.p) if y else 0
             return self._unpack(x.level, self._normalise(shift, digits + t, [a * y for a in ints]))
-        if isinstance(y, (Fraction, PadicScalar)):
+        if isinstance(y, (Fraction, PadicScalar, float)):
             y = self.constant(x.level, y)
         elif not isinstance(y, TowerElement):
             return NotImplemented
@@ -480,7 +496,8 @@ class CyclotomicTower:
         return self._unpack(x.level, self._product(x.level, self._pack(x), self._pack(y)))
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
-        """x^n by square-and-multiply on the packed form of x."""
+        """x^n by square-and-multiply on the packed form of x, after
+        `_frobenius` for the p-part of n on a unit at one digit."""
         if n < 0:
             return self.power(self.invert(x), -n)
         if n == 0:
@@ -489,6 +506,9 @@ class CyclotomicTower:
             return x
         out = None
         acc = self._pack(x)
+        if acc[:2] == (0, 1) and sum(acc[2]) % self.p and n % self.p == 0:
+            pk = self.p ** vp(n, self.p)
+            acc, n = self._frobenius(x.level, acc[2], pk), n // pk
         while n:
             if n & 1:
                 out = acc if out is None else self._product(x.level, out, acc)
@@ -496,6 +516,17 @@ class CyclotomicTower:
             if n:
                 acc = self._product(x.level, acc, acc)
         return self._unpack(x.level, out)
+
+    def _frobenius(self, level: int, ints, pk: int):
+        """x^pk for a unit x = sum_j ints[j] zeta^j at one digit: mod p it is
+        sum_j ints[j] zeta^(j pk), one re-index.  j pk mod q depends on j mod
+        q / gcd(pk, q), so the ints are summed over that period first."""
+        q = self.q(level)
+        step = gcd(pk, q)
+        lanes = [ints[i : i + q // step] for i in range(0, len(ints), q // step)]
+        moved = [0] * q
+        moved[::step] = map(sum, zip(*lanes))
+        return self._normalise(0, 1, self.fold(level, moved))
 
     # -- moving between levels ----------------------------------------------------
 
@@ -534,14 +565,12 @@ class CyclotomicTower:
         return self.galois(level, self.p ** k)
 
     def _act(self, level: int, unit: int, packed):
-        """zeta -> zeta^unit on a packed element: the one Galois loop."""
+        """zeta -> zeta^unit on a packed element: the one Galois loop, a
+        gather through `_galois_index`."""
         if unit == 1:
             return packed
         shift, digits, ints = packed
-        q = self.q(level)
-        moved = [0] * q
-        for j, a in enumerate(ints):
-            moved[unit * j % q] = a
+        moved = _galois_index(self.q(level), len(ints), unit)([*ints, 0])
         return self._normalise(shift, digits, self.fold(level, moved))
 
     def galois_apply(self, g: GaloisElement, x: TowerElement) -> TowerElement:

@@ -80,7 +80,6 @@ def test_layered_sum_member_positive(t3, t2):
         for n in range(4):
             x = x + tower.scale_p(tower.embed(tower.random_integral(n, rng), 3), n)
         verdict = layered_sum_membership(tower, x)
-        assert verdict.member_strict
         assert verdict.slack_needed == 0
         assert all(m is None or m >= 0 for m in verdict.margins)
 
@@ -88,12 +87,12 @@ def test_layered_sum_member_positive(t3, t2):
 def test_layered_sum_rejects_zeta9(t3):
     x = t3.embed(t3.zeta(1), 2)
     verdict = layered_sum_membership(t3, x)
-    assert not verdict.member_strict
+    assert verdict.slack_needed != 0
     # level 1 fails, by exactly the slack it needs
     assert verdict.margins == (None, -1, None)
     assert verdict.slack_needed == 1
     # scaling by p repairs membership outright
-    assert layered_sum_membership(t3, x * 3).member_strict
+    assert layered_sum_membership(t3, x * 3).slack_needed == 0
 
 
 def test_series_decay_margin_and_certification(t3):

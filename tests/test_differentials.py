@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclodiff.constants import galois_defect_cell
 from cyclodiff.errors import DomainError
-from cyclodiff.padic import PadicScalar
+from cyclodiff.padic import PadicScalar, vp
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.differentials import (
     _k0_coeffs_in_kernel,
@@ -18,6 +18,7 @@ from cyclodiff.differentials import (
     different,
     differential,
     divisibility_exponent,
+    echelon,
     elementary_divisor_valuations,
     flat_decompose,
     kernel_lattice,
@@ -611,3 +612,56 @@ def test_flat_decompose_matches_the_product_loops(p, seed, kind, data):
         assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs))
         if not skipped:
             assert got.to_json() == want.to_json()
+
+
+def echelon_oracle(p, int_columns, digits):
+    """`echelon` before the unit-first scan: every round reads the valuation
+    of every entry in the unused rows, and eliminates entry by entry."""
+    mod = p ** digits
+    work = [[e % mod for e in col] for col in int_columns]
+    used = set()
+    reduced, pivots = [], []
+    while work:
+        best = None  # (val, row, column index)
+        for ci, col in enumerate(work):
+            for r, entry in enumerate(col):
+                if entry == 0 or r in used:
+                    continue
+                v = vp(entry, p)
+                if best is None or (v, r) < best[:2]:
+                    best = (v, r, ci)
+        if best is None:
+            break
+        v, r, ci = best
+        pivot = work.pop(ci)
+        pv = p ** v
+        unit_inv = pow(pivot[r] // pv, -1, mod)
+        pivot = [e * unit_inv % mod for e in pivot]
+        for other in work:
+            if other[r] == 0:
+                continue
+            f = other[r] // pv
+            for i, e in enumerate(pivot):
+                if e:
+                    other[i] = (other[i] - f * e) % mod
+        reduced.append(pivot)
+        pivots.append((r, v))
+        used.add(r)
+    return reduced, pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_echelon_matches_the_full_scan_oracle(p, rows, cols, data):
+    # random shapes, entries of every valuation, zero columns, and matrices
+    # with no unit entry at all (scaled by p^lift)
+    digits = data.draw(st.integers(1, 8))
+    lift = data.draw(st.sampled_from([0, 0, 1, 3]))
+    powers = st.builds(lambda v: p ** v, st.integers(0, 9))
+    entry = st.one_of(st.just(0), st.integers(0, p ** 10), powers)
+    matrix = []
+    for _ in range(cols):
+        col = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+        zero = data.draw(st.integers(0, 3)) == 0
+        matrix.append([0 if zero else p ** lift * e for e in col])
+    assert echelon(p, matrix, digits) == echelon_oracle(p, matrix, digits)

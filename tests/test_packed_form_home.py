@@ -16,6 +16,8 @@ INTERNALS = {
     "_combine",
     "_rho_digits",
     "_act",
+    "_frobenius",
+    "_galois_index",
     "_gather",
     "_packed",
 }

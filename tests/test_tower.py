@@ -25,6 +25,7 @@ from cyclodiff.tower import (
     TowerParams,
     _decode,
     _encode,
+    _galois_index,
 )
 
 
@@ -96,6 +97,20 @@ def test_constant_and_levels(tw):
     # cross-level addition embeds automatically
     y = tw.uniformizer(0) + tw.uniformizer(2)
     assert y.level == 2
+
+
+def test_a_float_is_not_a_constant():
+    # Fraction(0.1) is 3602879701896397/2^55, not 1/10: a float is refused
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=6))
+    one = tower.one(0)
+    assert tower._pack(one + Fraction(1, 10)) == (0, 6, [74, 0])  # 11/10 mod 3^6
+    refused = (
+        lambda: one + 0.1, lambda: one * 1.5, lambda: one == 1.0, lambda: tower.constant(0, 0.5)
+    )
+    for bad in refused:
+        with pytest.raises(DomainError, match="not 0.1|not 1.5|not 1.0|not 0.5"):
+            bad()
+    assert one + True == 2 and one * False == 0  # a bool is the int 0 or 1
 
 
 def test_rationals_compare_and_multiply_as_constants(tw):
@@ -1120,6 +1135,85 @@ def test_chains_on_ragged_caps_claim_no_more_than_the_oracles(case, n):
     for name, got, want in chain_pairs(tower, x, n):
         assert got == want, name
         assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs)), name
+
+
+@st.composite
+def one_digit_powers(draw, unit=True):
+    """(tower, x, n): x at one digit, a unit or not, and n = p^k r with p^k
+    up to p q (from p^k = q on, every zeta^(j p^k) is 1)."""
+    tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    p, level = tower.p, draw(st.integers(0, tower.max_level))
+    phi = tower.phi(level)
+    ints = draw(st.lists(st.integers(0, p - 1), min_size=phi, max_size=phi))
+    if (sum(ints) % p != 0) != unit:
+        ints[0] = (ints[0] + 1) % p if unit else (ints[0] - sum(ints)) % p
+    k = draw(st.integers(0, level + tower.s + 1))
+    return tower, tower.from_int_coeffs(level, ints, 1), p ** k * draw(st.integers(1, 2 * p))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(one_digit_powers(), one_digit_powers(unit=False)))
+def test_power_at_one_digit_is_the_square_and_multiply_triple(case):
+    # units take Frobenius for the p-part of n; either way the triple is
+    # byte-equal to square-and-multiply
+    tower, x, n = case
+    assert tower._pack(tower.power(x, n)) == tower._pack(power_oracle(tower, x, n))
+
+
+def test_a_nonunit_at_one_digit_keeps_square_and_multiply():
+    # zeta^3 + zeta^4 + zeta^5 is nilpotent mod 3: square-and-multiply reaches
+    # cap 7 where Frobenius would claim cap 9, so only units re-index
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=8))
+    x = tower.from_int_coeffs(1, [0, 0, 0, 1, 1, 1], 1)
+    got = tower.power(x, 27)
+    assert tower._pack(got) == tower._pack(power_oracle(tower, x, 27))
+    assert got.cap == 7
+
+
+def act_reference(tower, level, unit, packed):
+    """The Galois loop before the gather: int j moves to slot unit j mod q."""
+    shift, digits, ints = packed
+    q = tower.q(level)
+    moved = [0] * q
+    for j, a in enumerate(ints):
+        moved[unit * j % q] = a
+    return tower._normalise(shift, digits, tower.fold(level, moved))
+
+
+@pytest.mark.parametrize("p, levels", [(2, 2), (3, 2), (5, 1), (7, 1)])
+def test_galois_apply_matches_the_reference_loop_under_every_unit(p, levels):
+    tower = CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=10))
+    rng = random.Random(p)
+    for level in range(levels + 1):
+        xs = [tower.random_integral(level, rng), tower.rho_power(level, 1), tower.zero(level)]
+        for unit in range(1, tower.q(level)):
+            if unit % p:
+                g = tower.galois_by_unit(level, unit)
+                for x in xs:
+                    want = act_reference(tower, level, unit, tower._pack(x))
+                    assert tower._pack(tower.galois_apply(g, x)) == want
+    info = _galois_index.cache_info()
+    assert info.maxsize == 64 and info.currsize <= info.maxsize
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (5, 1), (7, 1)]), st.data())
+def test_the_norm_is_the_p_power_mod_p(key, data):
+    # N_{K_m/K_n}(x) = x^(p^k) mod p for integral x (Coleman, Division values
+    # in local fields, 1979): the defect at one digit is all bottom, and a
+    # unit's defect at full cap has val >= 1
+    p, levels = key
+    tower = CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=8))
+    m = data.draw(st.integers(1, levels))
+    n = data.draw(st.integers(0, m - 1))
+    k = data.draw(st.integers(0, 2))
+    phi = tower.phi(m)
+    ints = data.draw(st.lists(st.integers(0, p ** 8), min_size=phi, max_size=phi))
+    x = tower.from_int_coeffs(m, [p ** k * a for a in ints])
+    assert tower.norm_defect(tower.truncate(x, 1), n).is_all_bottom
+    u = tower.random_unit(m, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    v = tower.valuation_or_none(tower.norm_defect(u, n))
+    assert v is None or v >= 1
 
 
 def test_trace_rejects_conjugates_that_differ_in_shift(tw):
