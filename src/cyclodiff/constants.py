@@ -7,9 +7,10 @@ Every constant is computed from tower data, never assumed:
   elements and seeded random units, cell by cell (n, k).  Each element is
   drawn at full precision and evaluated at 8 digits first, a unit at
   max(1, ceil(floor so far)) once there is one; the digits double only
-  while N(x) - x^deg is all bottom.  The ladder is exact: a
-  difference that is not all bottom has the valuation of every lift of the
-  truncated x, since every tower op keeps a sound cap;
+  while N(x) - x^deg is all bottom.  A unit rung at one digit costs two
+  re-indexes (N(x) and x^deg are both Frobenius mod p).  The ladder is
+  exact: a difference that is not all bottom has the valuation of every
+  lift of the truncated x, since every tower op keeps a sound cap;
 * m_c is the smallest m with p^m c_norm >= 1/(p-1);
 * c_2 bounds the normalized-trace denominators from basis minima (the
   projectors are coordinate masks, so the honest minimum is 0);

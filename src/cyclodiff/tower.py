@@ -51,10 +51,11 @@ between `_pack` and `_unpack` (a rational or a scalar enters as its
 `constant`, and an int only scales the ints); `power` and `norm_down` chain
 kernel calls on triples; `galois_apply`, `trace_down` and `norm_down` share
 one Galois loop on the ints, `_act`, a gather through a cached index map.
-`power` takes the p-part p^k of n on a unit at one digit as Frobenius: mod p,
-x^(p^k) = sum_j a_j zeta^(j p^k), one re-index and one `fold`.  Units are
-closed under products, so the triple is square-and-multiply's; a non-unit can
-be nilpotent mod p, where the caps differ.
+On a unit at one digit, Frobenius serves `power` (the p-part p^k of n) and
+`norm_down` (N_{K_m/K_n}(x) = x^(p^(m-n)) mod p): mod p, x^(p^k) =
+sum_j a_j zeta^(j p^k), one re-index and one `fold`.  Units are closed under
+products, so the triple is square-and-multiply's and the conjugate product's;
+a non-unit can be nilpotent mod p, where the caps differ.
 
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
 missing view on first use; coordinates with different caps (JSON input)
@@ -506,7 +507,7 @@ class CyclotomicTower:
             return x
         out = None
         acc = self._pack(x)
-        if acc[:2] == (0, 1) and sum(acc[2]) % self.p and n % self.p == 0:
+        if n % self.p == 0 and self._unit_at_one_digit(acc):
             pk = self.p ** vp(n, self.p)
             acc, n = self._frobenius(x.level, acc[2], pk), n // pk
         while n:
@@ -516,6 +517,10 @@ class CyclotomicTower:
             if n:
                 acc = self._product(x.level, acc, acc)
         return self._unpack(x.level, out)
+
+    def _unit_at_one_digit(self, packed) -> bool:
+        """Whether a triple is a unit at one digit, where Frobenius is exact."""
+        return packed[:2] == (0, 1) and sum(packed[2]) % self.p != 0
 
     def _frobenius(self, level: int, ints, pk: int):
         """x^pk for a unit x = sum_j ints[j] zeta^j at one digit: mod p it is
@@ -621,7 +626,16 @@ class CyclotomicTower:
         return self._fold_conjugates(x, level, self._sum, "trace")
 
     def norm_down(self, x: TowerElement, level: int) -> TowerElement:
-        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a time."""
+        """N_{K_m/K_level}(x) by honest conjugate products, one layer at a time,
+        but for a unit at one digit: N(x) = x^(p^k) mod p, k = m - level
+        (Coleman), and its conjugate products stay at (0, 1, .), so its triple is
+        `_frobenius`'s cut with stride p^k (the re-index lands on exponents that
+        p^k divides, and so does h).  A non-unit can vanish mod p at another cap."""
+        self._check_level(level)
+        if level < x.level and self._unit_at_one_digit(self._pack(x)):
+            pk = self.p ** (x.level - level)
+            shift, digits, ints = self._frobenius(x.level, self._pack(x)[2], pk)
+            return self._unpack(level, (shift, digits, ints[::pk]))
         return self._fold_conjugates(
             x, level, lambda top, cs: reduce(partial(self._product, top), cs), "norm"
         )

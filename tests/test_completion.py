@@ -95,6 +95,15 @@ def test_layered_sum_rejects_zeta9(t3):
     assert layered_sum_membership(t3, x * 3).slack_needed == 0
 
 
+def test_layered_sum_slack_rounds_a_fractional_margin_up(t3):
+    # rho_0 zeta_1 falls short of level 1 by half a unit: margin -1/2 needs
+    # slack 1, and rounding it down would call x a member at slack 0
+    x = t3.uniformizer(0) * t3.zeta(1)
+    verdict = layered_sum_membership(t3, x)
+    assert verdict.margins == (None, Fraction(-1, 2))
+    assert verdict.slack_needed == 1
+
+
 def test_series_decay_margin_and_certification(t3):
     ps = perp_series_decompose(t3, t3.zeta(1))
     assert ps.decay_margin() == Fraction(-1)

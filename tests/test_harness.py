@@ -91,6 +91,33 @@ def test_fouvar_margin_floor_is_the_least_margin(t3, cons3, monkeypatch):
     assert rep["assertions"][0]["witness"]["margin_floor"] == "-2"
 
 
+def test_theorem_b_fails_when_level_1_is_not_exact(t3, cons3, monkeypatch):
+    # (0, 1) at level 1 is within the n_1 bound, so only the exact level-1
+    # check can fail it
+    real = harness.commensurability_check
+
+    def fake(p, phi, cols_sum, cols_ker):
+        return (0, 1) if phi == t3.phi(1) else real(p, phi, cols_sum, cols_ker)
+
+    monkeypatch.setattr(harness, "commensurability_check", fake)
+    assert cons3.n_1 >= 1
+    rep = run_suite(t3, "theorem-b", seed=0, constants=cons3)
+    assert not rep["passed"]
+    assert [a["name"] for a in rep["assertions"] if not a["passed"]] == [
+        "lattice-commensurability-level-1"
+    ]
+
+
+def test_theorem_a_shadow_fails_when_the_gap_stops_growing(t3, cons3, monkeypatch):
+    # w2 = m - 1 at level m makes every gap 1, a gap that does not grow
+    monkeypatch.setattr(harness, "w2_valuation", lambda tower, x: x.level - 1)
+    rep = run_suite(t3, "theorem-a-shadow", seed=0, constants=cons3)
+    grows = rep["assertions"][-1]
+    assert not rep["passed"]
+    assert grows["name"] == "gap-grows-with-level" and not grows["passed"]
+    assert grows["witness"]["gaps"] == ["1", "1", "1"]
+
+
 def test_unknown_suite_rejected(t3):
     with pytest.raises(DomainError):
         run_suite(t3, "nonesuch")

@@ -17,6 +17,7 @@ INTERNALS = {
     "_rho_digits",
     "_act",
     "_frobenius",
+    "_unit_at_one_digit",
     "_galois_index",
     "_gather",
     "_packed",

@@ -5,7 +5,7 @@ polynomials (the one over K_0 as a test-side oracle), inversion."""
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1214,6 +1214,48 @@ def test_the_norm_is_the_p_power_mod_p(key, data):
     u = tower.random_unit(m, random.Random(data.draw(st.integers(0, 2 ** 32))))
     v = tower.valuation_or_none(tower.norm_defect(u, n))
     assert v is None or v >= 1
+
+
+def norm_by_conjugates(tower, x, level):
+    """`norm_down` with no Frobenius shortcut: conjugate products only."""
+    return tower._fold_conjugates(
+        x, level, lambda top, cs: reduce(partial(tower._product, top), cs), "norm"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FOLD_TOWERS)), st.data())
+def test_the_norm_at_one_digit_is_the_conjugate_product_triple(key, data):
+    # a unit at one digit takes Frobenius to every lower level, a non-unit the
+    # conjugates; either way the triple is byte-equal to the conjugate product's
+    tower = FOLD_TOWERS[key]
+    p = tower.p
+    for m in range(1, tower.max_level + 1):
+        phi = tower.phi(m)
+        ints = data.draw(st.lists(st.integers(0, p - 1), min_size=phi, max_size=phi))
+        unit = data.draw(st.booleans())
+        if (sum(ints) % p != 0) != unit:
+            ints[0] = (ints[0] + 1) % p if unit else (ints[0] - sum(ints)) % p
+        x = tower.from_int_coeffs(m, ints, 1)
+        for n in range(m):
+            got = tower.norm_down(x, n)
+            assert got.level == n
+            assert tower._pack(got) == tower._pack(norm_by_conjugates(tower, x, n)), (m, n)
+
+
+def test_a_nonunit_at_one_digit_keeps_the_conjugate_norm():
+    # zeta^2 + zeta^3 + zeta^6 + zeta^7 vanishes mod 2 with its norm to level
+    # 0: the conjugates reach cap 2 where Frobenius would claim only cap 1
+    tower = CyclotomicTower(TowerParams(p=2, s=2, max_level=2, prec=8))
+    x = tower.from_int_coeffs(2, [0, 0, 1, 1, 0, 0, 1, 1], 1)
+    got = tower.norm_down(x, 0)
+    assert tower._pack(got) == tower._pack(norm_by_conjugates(tower, x, 0))
+    assert got.is_all_bottom and got.cap == 2
+    assert tower._frobenius(2, tower._pack(x)[2], 4)[:2] == (1, 0)
+    unit = tower.from_int_coeffs(1, [1, 1, 0, 1], 1)
+    for level in (2, -1):
+        with pytest.raises(DomainError):
+            tower.norm_down(unit, level)
 
 
 def test_trace_rejects_conjugates_that_differ_in_shift(tw):
