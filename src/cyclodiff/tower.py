@@ -60,11 +60,13 @@ a non-unit can be nilpotent mod p, where the caps differ.
 A `TowerElement` holds its coordinates, its triple, or both, and builds the
 missing view on first use; coordinates with different caps (JSON input)
 are read at their least cap when the element is built, and only the triple
-is kept.  `add` alone works on the coordinates.  Every other op reads and
+is kept.  `add` alone works on the coordinates; `-`, and so `==`, is
+`_combine`, the packed sum at the lesser cap.  Every other op reads and
 returns the triple, normalised by `_normalise` (digits = 0 or some int is
 prime to p): `embed` spreads the ints with stride p^k, `scale_p` moves the
 shift, the projectors gather every p^k-th int, and `coeffs` builds the
-`PadicScalar`s on first read, so a chain of packed ops builds none.
+`PadicScalar`s on first read, so a chain of packed ops builds none.  The
+random elements draw their ints by `_draws`, randrange's own loop.
 
 Inversion strips x = p^a rho^r u down to the unit u, each power of p a move of
 the shift, and runs Newton's method on u's triple with precision doubling:
@@ -119,6 +121,18 @@ def _decode(z: int, n: int, w: int):
     for i in range(w):
         buf[i::8] = zb[i::w]
     return struct.unpack(f"<{n}Q", buf)
+
+
+def _draws(rng, bound: int, count: int) -> list:
+    """[rng.randrange(bound) for _ in range(count)], values and generator state
+    alike: randrange's own rejection loop on getrandbits, without its frames."""
+    getrandbits, k, out = rng.getrandbits, bound.bit_length(), []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -243,10 +257,11 @@ class TowerElement:
         return tower._unpack(self.level, (shift, digits, [-a % mod for a in ints]))
 
     def __sub__(self, other):
-        return self.tower.add(self, -other)
+        return self.tower._combine(*self.tower._operands(self, other), -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        x, y = self.tower._operands(self, other)
+        return self.tower._combine(y, x, -1)
 
     def __mul__(self, other):
         return self.tower.mul(self, other)
@@ -257,9 +272,7 @@ class TowerElement:
         return self.tower.power(self, n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar, float)):
-            other = self.tower.constant(self.level, other)
-        if not isinstance(other, TowerElement):
+        if not isinstance(other, (TowerElement, int, Fraction, PadicScalar, float)):
             return NotImplemented
         return (self - other).is_all_bottom
 
@@ -420,17 +433,21 @@ class CyclotomicTower:
 
     # -- addition ------------------------------------------------------------
 
-    def _align(self, x: TowerElement, y: TowerElement):
-        if x.level == y.level:
-            return x, y
+    def _operands(self, x: TowerElement, y):
+        """x and y at one level, the higher of the two: a constant y enters as
+        its `constant` at x's level, and an element over another prime is
+        refused (a different prec or max_level is allowed)."""
+        if not isinstance(y, TowerElement):
+            return x, self.constant(x.level, y)
+        if y.tower.p != x.tower.p:
+            raise DomainError(f"mixed primes {x.tower.p} and {y.tower.p}")
         if x.level < y.level:
             return self.embed(x, y.level), y
         return x, self.embed(y, x.level)
 
     def add(self, x: TowerElement, y) -> TowerElement:
-        if not isinstance(y, TowerElement):
-            y = self.constant(x.level, y)
-        x, y = self._align(x, y)
+        x, y = self._operands(x, y)
+        # per coordinate until ROADMAP item 1: packed, it zeroes series-p5's padic rows
         return TowerElement(
             self, x.level, [a + b for a, b in zip(x.coeffs, y.coeffs)]
         )
@@ -489,11 +506,9 @@ class CyclotomicTower:
             shift, digits, ints = self._pack(x)
             t = vp(y, self.p) if y else 0
             return self._unpack(x.level, self._normalise(shift, digits + t, [a * y for a in ints]))
-        if isinstance(y, (Fraction, PadicScalar, float)):
-            y = self.constant(x.level, y)
-        elif not isinstance(y, TowerElement):
+        if not isinstance(y, (TowerElement, Fraction, PadicScalar, float)):
             return NotImplemented
-        x, y = self._align(x, y)
+        x, y = self._operands(x, y)
         return self._unpack(x.level, self._product(x.level, self._pack(x), self._pack(y)))
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
@@ -648,8 +663,8 @@ class CyclotomicTower:
 
     def _combine(self, x: TowerElement, y: TowerElement, sign: int) -> TowerElement:
         """x + sign y on the triples of two elements of one level: the ints
-        are aligned to the lesser shift and summed at the lesser cap, as `add`
-        sums the coordinates."""
+        are aligned to the lesser shift and summed at the lesser cap, the cap
+        `add` reaches per coordinate.  `-`, `==` and Newton's steps run on it."""
         sx, dx, xs = self._pack(x)
         sy, dy, ys = self._pack(y)
         shift = min(sx, sy)
@@ -948,16 +963,16 @@ class CyclotomicTower:
     # -- randomness ---------------------------------------------------------------------
 
     def random_integral(self, level: int, rng) -> TowerElement:
+        """phi(level) coordinates drawn mod p^prec by `_draws`, as randrange
+        draws them."""
         self._check_level(level)
-        m = self.p ** self.prec
-        return self.from_int_coeffs(level, [rng.randrange(m) for _ in range(self.phi(level))])
+        return self.from_int_coeffs(level, _draws(rng, self.p ** self.prec, self.phi(level)))
 
     def random_unit(self, level: int, rng) -> TowerElement:
         """The draw of `random_integral`, plus 1 when it is 0 mod rho: zeta =
         1 mod rho, so x mod rho is the sum of the coordinates mod p."""
         self._check_level(level)
-        m = self.p ** self.prec
-        ints = [rng.randrange(m) for _ in range(self.phi(level))]
+        ints = _draws(rng, self.p ** self.prec, self.phi(level))
         if sum(ints) % self.p == 0:
             ints[0] += 1
         return self.from_int_coeffs(level, ints)

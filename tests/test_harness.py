@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cyclodiff import harness
+from cyclodiff.cli import main
 from cyclodiff.constants import estimate_constants
 from cyclodiff.differentials import FlatDecomposition
 from cyclodiff.errors import DomainError
@@ -116,6 +118,64 @@ def test_theorem_a_shadow_fails_when_the_gap_stops_growing(t3, cons3, monkeypatc
     assert not rep["passed"]
     assert grows["name"] == "gap-grows-with-level" and not grows["passed"]
     assert grows["witness"]["gaps"] == ["1", "1", "1"]
+
+
+def nudged_normalized_trace(monkeypatch):
+    """Patch R_n to add p^k to slot 0, k the last digit that the honest
+    route p^-(m-n) Tr(x) keeps: R_n and the honest route then differ at their
+    common cap by exactly one digit, which `-` must not read as bottom."""
+    real = CyclotomicTower.normalized_trace
+
+    def nudged(tower, x, level):
+        k = x.cap - (x.level - level) - 1
+        return real(tower, x, level) + tower.scale_p(tower.one(level), k)
+
+    monkeypatch.setattr(CyclotomicTower, "normalized_trace", nudged)
+
+
+def test_rnbdd_fails_when_the_mask_misses_one_digit(t3, cons3, monkeypatch):
+    nudged_normalized_trace(monkeypatch)
+    rep = run_suite(t3, "rnbdd", seed=0, constants=cons3, samples=SMALL["rnbdd"])
+    samples = rep["assertions"][1]
+    assert not rep["passed"] and not samples["passed"]
+    assert samples["witness"]["mask_mismatches"] > 0
+
+
+def test_gaminv_fails_below_the_measured_c3(t3, cons3):
+    # c3* - 1 is below every cell, and below the defect of x - g(x)
+    rep = run_suite(
+        t3, "gaminv", seed=0, constants=replace(cons3, c3_star=cons3.c3_star - 1),
+        samples=SMALL["gaminv"],
+    )
+    assert not rep["passed"]
+    assert [a["passed"] for a in rep["assertions"]] == [False, False]
+    assert rep["assertions"][1]["witness"]["violations"] > 0
+
+
+def test_rhoval_fails_on_a_chain_that_is_not_norm_compatible(t3, cons3, monkeypatch):
+    # rho_n zeta_n is a uniformizer too, but rho_1^3 zeta_0 - rho_0 has val 1,
+    # not the 7/6 of the norm-compatible chain
+    real = CyclotomicTower.uniformizer
+
+    def twisted(tower, level):
+        return real(tower, level) * tower.zeta(level) if level else real(tower, level)
+
+    monkeypatch.setattr(CyclotomicTower, "uniformizer", twisted)
+    rep = run_suite(t3, "rhoval", seed=0, constants=cons3, samples=SMALL["rhoval"])
+    base = rep["assertions"][-1]
+    assert not rep["passed"]
+    assert base["name"] == "base-step-witness" and not base["passed"]
+    assert base["witness"]["value"] == "1"
+
+
+def test_a_failing_rnbdd_exits_1_through_the_cli(monkeypatch, tmp_path):
+    nudged_normalized_trace(monkeypatch)
+    out = tmp_path / "rep.json"
+    argv = ["verify", "rnbdd", "--p", "3", "--levels", "2", "--prec", "16"]
+    assert main([*argv, "--constants-samples", "2", "--samples", "8", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert rep["assertions"][1]["witness"]["mask_mismatches"] > 0
 
 
 def test_unknown_suite_rejected(t3):

@@ -3,6 +3,7 @@ normalized-trace mask identity, exact valuations, rho expansions, minimal
 polynomials (the one over K_0 as a test-side oracle), inversion."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -25,6 +26,7 @@ from cyclodiff.tower import (
     TowerParams,
     _decode,
     _encode,
+    _draws,
     _galois_index,
 )
 
@@ -105,10 +107,11 @@ def test_a_float_is_not_a_constant():
     one = tower.one(0)
     assert tower._pack(one + Fraction(1, 10)) == (0, 6, [74, 0])  # 11/10 mod 3^6
     refused = (
-        lambda: one + 0.1, lambda: one * 1.5, lambda: one == 1.0, lambda: tower.constant(0, 0.5)
+        lambda: one + 0.1, lambda: one * 1.5, lambda: one == 1.0, lambda: tower.constant(0, 0.5),
+        lambda: one - 0.1, lambda: 0.1 - one, lambda: one - "1", lambda: "1" - one,
     )
     for bad in refused:
-        with pytest.raises(DomainError, match="not 0.1|not 1.5|not 1.0|not 0.5"):
+        with pytest.raises(DomainError, match="not 0.1|not 1.5|not 1.0|not 0.5|not '1'"):
             bad()
     assert one + True == 2 and one * False == 0  # a bool is the int 0 or 1
 
@@ -1437,3 +1440,99 @@ def test_a_rho_expansion_of_a_packed_element_makes_one_product(built, monkeypatc
             assert len(products) == 1
             assert built == []
             assert back.to_json() == x.to_json()
+
+
+# Subtraction and equality run on `_combine`, the packed sum at the lesser
+# cap.  The oracle is the route they took before: the per-coordinate `add` of
+# the negated operand, one scalar sum per coordinate.
+
+
+def sub_oracle(tower, x, y):
+    """x - y by `tower.add` on scalars; x or y may be a constant."""
+    return tower.add(x, -y) if isinstance(x, TowerElement) else tower.add(-y, x)
+
+
+@st.composite
+def sub_operand(draw, tower, level):
+    """An element of K_level with ragged JSON caps, maybe shifted by p^k,
+    maybe all bottom, maybe given at a lower level (so `-` embeds it)."""
+    p = tower.p
+    low = draw(st.integers(0, level))
+    if draw(st.booleans()):
+        x = tower.zero(low, draw(st.integers(-2, tower.prec)))
+    else:
+        x = TowerElement(tower, low, [ragged_scalar(draw, p, 8) for _ in range(tower.phi(low))])
+    x = tower.scale_p(x, draw(st.integers(-2, 2)))
+    return x if low == level or draw(st.booleans()) else tower.embed(x, level)
+
+
+@st.composite
+def sub_cases(draw):
+    tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    p, level = tower.p, draw(st.integers(0, tower.max_level))
+    x, y = draw(sub_operand(tower, level)), draw(sub_operand(tower, level))
+    num = draw(st.integers(-(p**9), p**9))
+    den = draw(st.sampled_from([1, 2, 3, 5, 7, p, p * p]))
+    scalar = PadicScalar.from_int(p, num, draw(st.integers(1, 10))).shift(draw(st.integers(-1, 2)))
+    c = draw(st.sampled_from([num, Fraction(num, den), scalar]))
+    return tower, x, y, c
+
+
+def same_triple(tower, got, want):
+    return (got.level, tower._pack(got), got.cap) == (want.level, tower._pack(want), want.cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub_cases())
+def test_packed_subtraction_matches_the_per_coordinate_route(case):
+    tower, x, y, c = case
+    pairs = [(x, y), (y, x), (x, c), (c, x), (x, x), (y, y)]
+    for a, b in pairs:
+        got = a - b
+        want = sub_oracle(tower, a, b)
+        assert same_triple(tower, got, want), (a, b)
+        assert got.to_json() == want.to_json()
+    assert (x == y) is sub_oracle(tower, x, y).is_all_bottom
+    assert (x == c) is sub_oracle(tower, x, c).is_all_bottom
+    assert (x - x).is_all_bottom and x == x
+
+
+def test_packed_subtraction_builds_no_scalar(built):
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
+    rng = random.Random(3)
+    x, y = tower.random_unit(2, rng), tower.random_integral(1, rng)
+    assert x._coeffs is None and y._coeffs is None
+    diffs = [x - y, y - x, x - x, tower.scale_p(y, 2) - x]
+    assert not x == y and x == x
+    assert built == []
+    assert [d.is_all_bottom for d in diffs] == [False, False, True, False]
+
+
+def test_an_element_over_another_prime_is_refused():
+    # the operand check is the only one: `*` and `-` never meet a scalar's
+    # own prime check, so without it they returned a silent 3-adic answer
+    t3 = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=6))
+    t5 = CyclotomicTower(TowerParams(p=5, s=1, max_level=2, prec=6))
+    x, y = t3.zeta(0), t5.zeta(0)
+    for op in (operator.mul, operator.add, operator.sub, operator.eq):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DomainError, match="mixed primes"):
+                op(a, b)
+    # the same p at another prec or max_level still combines
+    t3b = CyclotomicTower(TowerParams(p=3, s=1, max_level=3, prec=10))
+    z = t3b.zeta(2)
+    assert (x * z).level == 2 and (x - z).level == 2 and (z - x).cap == 6
+    assert x + t3b.zeta(0) == 2 * x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_draws_are_randranges_values_and_state(p):
+    # `_draws` is randrange's rejection loop on getrandbits: the same values,
+    # and the generator ends in the same state
+    bounds = [1, 2, *(2**k + d for k in (1, 7, 64) for d in (-1, 0, 1))]
+    bounds += [p**prec for prec in (1, 20, 60)]
+    for seed, bound in enumerate(bounds):
+        a, b = random.Random(seed), random.Random(seed)
+        got = _draws(a, bound, 40)
+        assert got == [b.randrange(bound) for _ in range(40)], bound
+        assert a.getstate() == b.getstate(), bound
