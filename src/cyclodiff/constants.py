@@ -3,6 +3,7 @@
 Every constant is computed from tower data, never assumed:
 
 * a, b bound the drift of the relative different, |val(d_n) - n - b| <= a/p^n;
+  a wrong different shows as a != 0 or b != 0 and fails tatediff (exit 1);
 * c_norm is the norm-congruence floor min val(N(x)/x^deg - 1) over basis
   elements and seeded random units, cell by cell (n, k).  Each element is
   drawn at full precision and evaluated at 8 digits first, a unit at

@@ -399,9 +399,7 @@ def _run_base_change(tower, seed, constants, samples):
     rng = cell_rng(seed, "base-change", level, 0)
     agreed = 0
     for _ in range(samples):
-        x = tower.random_integral(level, rng)
-        rep = base_change_compare(tower, x)
-        if rep.compatible and rep.kernel_exponent == r:
+        if base_change_compare(tower, tower.random_integral(level, rng)):
             agreed += 1
     yield _assertion(
         "classes-agree-after-rescaling",

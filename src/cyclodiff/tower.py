@@ -499,15 +499,14 @@ class CyclotomicTower:
         return self._normalise(sa + sb, min(da, db), self.fold(level, zs))
 
     def mul(self, x: TowerElement, y) -> TowerElement:
-        """x y on the triples.  By an int k the cap rises by vp(k); a rational
-        or a scalar c goes through `constant` into `_product`, whose cap
+        """x y on the triples.  By an int k the cap rises by vp(k).  Any other
+        operand goes through `_operands`: a rational or a scalar c enters as
+        its `constant` (anything else is refused there), and `_product`'s cap
         min(cap_x + val_c, shift_x + prec_c) is the scalar rule."""
         if isinstance(y, int):
             shift, digits, ints = self._pack(x)
             t = vp(y, self.p) if y else 0
             return self._unpack(x.level, self._normalise(shift, digits + t, [a * y for a in ints]))
-        if not isinstance(y, (TowerElement, Fraction, PadicScalar, float)):
-            return NotImplemented
         x, y = self._operands(x, y)
         return self._unpack(x.level, self._product(x.level, self._pack(x), self._pack(y)))
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -184,15 +185,15 @@ def test_omega_class_modularity(t3):
 
 def test_base_change_compare(t3, t2):
     for tower in (t3, t2):
+        # the p-exponent killing the kernel of Omega/Q_p -> Omega/K_0
+        assert math.ceil(different(tower, 0, "Qp").valuation) == 1
         for x in (
             tower.uniformizer(1),
             tower.zeta(1),
             tower.random_integral(1, random.Random(5)),
             tower.random_integral(2, random.Random(6)),
         ):
-            rep = base_change_compare(tower, x)
-            assert rep.compatible
-            assert rep.kernel_exponent == 1
+            assert base_change_compare(tower, x) is True
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +522,22 @@ def test_differential_matches_horner_byte_for_byte(case, base, up):
 def test_a_negative_level_raises_domain_error(t3, call):
     # each of these once formed p^level, a float, before any level check
     with pytest.raises(DomainError):
+        call(t3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: different(t, 1, "Zp"),
+        lambda t: differential(t, t.uniformizer(1), "Zp"),
+        lambda t: kernel_lattice(t, 1, "Zp"),
+        lambda t: modulus_valuation(t, 1, "Zp"),
+    ],
+    ids=["different", "differential", "kernel_lattice", "modulus_valuation"],
+)
+def test_an_unknown_base_raises_domain_error(t3, call):
+    # "Zp" is no base here: it must not be read as K_0
+    with pytest.raises(DomainError, match="base must be one of"):
         call(t3)
 
 

@@ -178,6 +178,111 @@ def test_a_failing_rnbdd_exits_1_through_the_cli(monkeypatch, tmp_path):
     assert rep["assertions"][1]["witness"]["mask_mismatches"] > 0
 
 
+def failing(rep):
+    return [a["name"] for a in rep["assertions"] if not a["passed"]]
+
+
+def test_fonemb_fails_on_a_wrong_iterate_threshold(t3, cons3):
+    rep = run_suite(t3, "fonemb", seed=0, constants=replace(cons3, m_c=cons3.m_c + 1))
+    assert not rep["passed"]
+    assert failing(rep) == ["iterate-threshold"]
+
+
+def test_nopdiv_fails_below_the_divisibility_ceiling(t3, cons3):
+    rep = run_suite(
+        t3, "nopdiv", seed=0, constants=replace(cons3, n_1=cons3.n_1 - 50),
+        samples=SMALL["nopdiv"],
+    )
+    assert not rep["passed"]
+    assert failing(rep) == ["divisibility-ceiling"]
+
+
+def test_fouvar_fails_when_a_part_is_dropped(t3, cons3, monkeypatch):
+    real = harness.flat_decompose
+
+    def short(tower, x, n1):
+        dec = real(tower, x, n1)
+        return replace(dec, parts=dec.parts[1:])
+
+    monkeypatch.setattr(harness, "flat_decompose", short)
+    rep = run_suite(t3, "fouvar", seed=0, constants=cons3, samples=SMALL["fouvar"])
+    witness = rep["assertions"][0]["witness"]
+    assert not rep["passed"]
+    assert failing(rep) == ["flat-decomposition"]
+    assert witness["reconstructed"] < witness["elements"]
+
+
+def test_rnk2_fails_when_reconstruction_is_off_by_one(t3, cons3, monkeypatch):
+    real = harness.series_reconstruct
+    monkeypatch.setattr(harness, "series_reconstruct", lambda tower, s: real(tower, s) + 1)
+    rep = run_suite(t3, "rnk2", seed=0, constants=cons3, samples=SMALL["rnk2"])
+    roundtrip = rep["assertions"][0]
+    assert not rep["passed"]
+    assert roundtrip["name"] == "decompose-reconstruct-roundtrip" and not roundtrip["passed"]
+    assert roundtrip["witness"]["roundtrips"] == 0
+
+
+def test_diffvec_fails_when_roots_of_unity_read_as_members(t3, cons3, monkeypatch):
+    real = harness.layered_sum_membership
+    monkeypatch.setattr(
+        harness, "layered_sum_membership",
+        lambda tower, y: replace(real(tower, y), slack_needed=0),
+    )
+    rep = run_suite(t3, "diffvec", seed=0, constants=cons3, samples=SMALL["diffvec"])
+    assert not rep["passed"]
+    assert failing(rep) == ["root-of-unity-witnesses-rejected"]
+
+
+def test_a_wrong_different_fails_tatediff_with_exit_1(monkeypatch, tmp_path):
+    # p g'(rho) has valuation one too many at every level and over both
+    # bases: `different` measures it, tatediff judges it, and constants
+    # reads it as the drift b = 1 without failing
+    real = CyclotomicTower.minpoly_derivative_at_rho
+    monkeypatch.setattr(
+        CyclotomicTower, "minpoly_derivative_at_rho",
+        lambda tower, *args, **kw: real(tower, *args, **kw) * tower.p,
+    )
+    out = tmp_path / "rep.json"
+    tower = ["--p", "3", "--levels", "2", "--prec", "16"]
+    argv = ["verify", "tatediff", *tower, "--constants-samples", "4", "--out", str(out)]
+    assert main(argv) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert failing(rep) == [a["name"] for a in rep["assertions"]]
+    assert main(["constants", *tower, "--samples", "4", "--out", str(out)]) == 0
+    drift = json.loads(out.read_text())["constants"]
+    assert (drift["a"], drift["b"]) == ("0", "1")
+
+
+def test_base_change_fails_when_the_classes_disagree(t3, cons3, monkeypatch):
+    monkeypatch.setattr(harness, "base_change_compare", lambda tower, x: False)
+    rep = run_suite(t3, "base-change", seed=0, constants=cons3, samples=SMALL["base-change"])
+    assert not rep["passed"]
+    assert failing(rep) == ["classes-agree-after-rescaling"]
+
+
+# one control per suite, each a way to make that suite report a failure;
+# a suite added without one fails here
+NEGATIVE_CONTROLS = {
+    "tatediff": test_a_wrong_different_fails_tatediff_with_exit_1,
+    "fonemb": test_fonemb_fails_on_a_wrong_iterate_threshold,
+    "rnbdd": test_rnbdd_fails_when_the_mask_misses_one_digit,
+    "gaminv": test_gaminv_fails_below_the_measured_c3,
+    "rhoval": test_rhoval_fails_on_a_chain_that_is_not_norm_compatible,
+    "theorem-b": test_theorem_b_fails_when_level_1_is_not_exact,
+    "fouvar": test_fouvar_fails_when_a_part_is_dropped,
+    "nopdiv": test_nopdiv_fails_below_the_divisibility_ceiling,
+    "base-change": test_base_change_fails_when_the_classes_disagree,
+    "rnk2": test_rnk2_fails_when_reconstruction_is_off_by_one,
+    "diffvec": test_diffvec_fails_when_roots_of_unity_read_as_members,
+    "theorem-a-shadow": test_theorem_a_shadow_fails_when_the_gap_stops_growing,
+}
+
+
+def test_every_suite_has_a_negative_control():
+    assert set(NEGATIVE_CONTROLS) == set(SUITE_NAMES)
+
+
 def test_unknown_suite_rejected(t3):
     with pytest.raises(DomainError):
         run_suite(t3, "nonesuch")

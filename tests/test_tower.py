@@ -109,10 +109,12 @@ def test_a_float_is_not_a_constant():
     refused = (
         lambda: one + 0.1, lambda: one * 1.5, lambda: one == 1.0, lambda: tower.constant(0, 0.5),
         lambda: one - 0.1, lambda: 0.1 - one, lambda: one - "1", lambda: "1" - one,
+        lambda: one * "a", lambda: one * [1], lambda: "a" * one, lambda: [1] * one,
     )
     for bad in refused:
-        with pytest.raises(DomainError, match="not 0.1|not 1.5|not 1.0|not 0.5|not '1'"):
+        with pytest.raises(DomainError, match=r"not 0.1|not 1.5|not 1.0|not 0.5|not '1'|not 'a'|not \[1\]"):
             bad()
+    assert not one == "a"  # == answers for a foreign type rather than raise
     assert one + True == 2 and one * False == 0  # a bool is the int 0 or 1
 
 
