@@ -71,7 +71,8 @@ class PerpSeries:
 
 
 def perp_series_from_json(tower: CyclotomicTower, obj: dict) -> PerpSeries:
-    """Series from the `PerpSeries.to_json` layout; malformed input raises
+    """Series from the `PerpSeries.to_json` layout; malformed input, and a
+    term n >= 1 whose normalized trace to level n - 1 is not zero, raise
     DomainError."""
     check_json(obj, "series json", level=int, terms=list)
     comps = []
@@ -83,7 +84,10 @@ def perp_series_from_json(tower: CyclotomicTower, obj: dict) -> PerpSeries:
             raise DomainError("series terms must be indexed consecutively from 0")
     if len(comps) != obj["level"] + 1:
         raise DomainError(f"a level {obj['level']} series needs {obj['level'] + 1} terms")
-    return PerpSeries(obj["level"], tuple(comps))
+    series = PerpSeries(obj["level"], tuple(comps))
+    if not series.certify_perpendicular():
+        raise DomainError("series term n >= 1 has a nonzero trace to level n - 1")
+    return series
 
 
 def perp_series_decompose(tower: CyclotomicTower, x: TowerElement) -> PerpSeries:

@@ -314,6 +314,19 @@ def test_unreadable_json_files_exit_2_at_once(capsys, tmp_path, argv, data):
     assert err.startswith("tower: ") and err.endswith(f" in {path}\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("op", ["invert", "reconstruct"])
+def test_series_file_with_a_term_that_is_not_perpendicular_exits_2(capsys, tmp_path, op):
+    # term 1 of a level-1 series must have zero trace to level 0; a 1 in its
+    # first coordinate breaks that, and the series is refused, not used
+    flags = ["--p", "3", "--levels", "1", "--prec", "6"]
+    rc, dec = run_cli(capsys, "decompose", "--random", "--seed", "0", *flags)
+    assert rc == 0 and dec["series"]["perp_certified"] is True
+    dec["series"]["terms"][1]["coeffs"][0] = {"p": 3, "val": 0, "unit": 1, "prec": 6}
+    series_file = _write(tmp_path / "series.json", dec["series"])
+    err = rejected(capsys, "series", "--op", op, "--series-file", series_file, *flags)
+    assert err.startswith("tower: ") and "trace to level n - 1" in err and err.count("\n") == 1
+
+
 def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
     rc, dec = run_cli(capsys, "decompose", "--random", "--seed", "5", *FAST)
     assert rc == 0

@@ -19,6 +19,9 @@ INTERNALS = {
     "_frobenius",
     "_unit_at_one_digit",
     "_galois_index",
+    "_ks2",
+    "_slots",
+    "KS2_BYTES",
     "_gather",
     "_packed",
 }

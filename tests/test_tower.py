@@ -18,16 +18,19 @@ from cyclodiff.errors import (
     PadicError,
     ValuationOfZero,
 )
+from cyclodiff import tower as tower_module
 from cyclodiff.padic import PadicScalar, vp
 from cyclodiff.tower import (
     CyclotomicTower,
     GaloisElement,
+    KS2_BYTES,
     TowerElement,
     TowerParams,
     _decode,
     _encode,
     _draws,
     _galois_index,
+    _ks2,
 )
 
 
@@ -882,6 +885,15 @@ def plan(tower, level):
     return rows
 
 
+def convolution(xa, xb):
+    """The schoolbook product slots sum_(i+j=t) xa[i] xb[j], one row per int
+    of xa."""
+    slots = [0] * (len(xa) + len(xb) - 1)
+    for i, u in enumerate(xa):
+        slots[i : i + len(xb)] = map(operator.add, slots[i : i + len(xb)], [u * v for v in xb])
+    return slots
+
+
 def plan_fold(tower, level, ints):
     """sum_t ints[t] zeta^t in the power basis, one plan row per slot."""
     rows, acc = plan(tower, level), [0] * tower.phi(level)
@@ -935,10 +947,7 @@ def test_the_fold_matches_the_plan_rows(p, data):
         xb = xa if kind == "square" else data.draw(ints)
     a = (data.draw(st.integers(0, 3)), digits, xa)
     b = a if kind != "pair" else (data.draw(st.integers(0, 3)), digits, xb)
-    slots = [0] * (2 * phi - 1)
-    for i, u in enumerate(xa):
-        for j, v in enumerate(xb):
-            slots[i + j] += u * v
+    slots = convolution(xa, xb)
     assert tower.fold(level, slots) == plan_fold(tower, level, slots)
     want = tower._normalise(a[0] + b[0], digits, plan_fold(tower, level, slots))
     assert tower._product(level, a, b) == want
@@ -972,9 +981,10 @@ def join_decode(z, n, w):
 
 
 def test_the_slot_codec_matches_the_byte_join():
-    # word slots for w <= 8, joined bytes for w = 9, on both sides of the edge
+    # word slots for w <= 8, struct-cut slots from w = 9, on both sides of
+    # the edge and at the wide slots of big products
     rng = random.Random(8)
-    for w in range(1, 10):
+    for w in (*range(1, 10), 16, 17, 36):
         top = 2 ** (8 * w) - 1
         for n in (1, 2, 17):
             for slots in ([0] * n, [top] * n, [rng.randrange(top + 1) for _ in range(n)]):
@@ -1022,12 +1032,86 @@ def test_the_product_at_the_word_edge_matches_the_schoolbook_slots(p, data):
     b = (data.draw(st.integers(0, 3)), db, xb)
     if kind == "square" or (kind == "maximal" and da == db):
         b, xb = a, xa
-    slots = [0] * (2 * phi - 1)
-    for i, u in enumerate(xa):
-        for j, v in enumerate(xb):
-            slots[i + j] += u * v
+    slots = convolution(xa, xb)
     want = tower._normalise(a[0] + b[0], min(a[1], b[1]), plan_fold(tower, level, slots))
     assert tower._product(level, a, b) == want
+
+
+def oracle_product(tower, level, a, b):
+    """The product of two triples by `convolution`, `fold` and `_normalise`."""
+    (sa, da, xa), (sb, db, xb) = a, b
+    return tower._normalise(sa + sb, min(da, db), tower.fold(level, convolution(xa, xb)))
+
+
+def oracle_power(tower, level, a, n):
+    """a^n, n >= 1, by square-and-multiply on `oracle_product`."""
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else oracle_product(tower, level, out, a)
+        n >>= 1
+        if n:
+            a = oracle_product(tower, level, a, a)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_elements(count=2), st.integers(1, 12))
+def test_mul_and_power_match_the_convolution_oracle(case, n):
+    tower, x, y = case
+    a, b = tower._pack(x), tower._pack(y)
+    assert tower._pack(tower.mul(x, y)) == oracle_product(tower, x.level, a, b)
+    assert tower._pack(tower.mul(x, x)) == oracle_product(tower, x.level, a, a)
+    assert tower._pack(tower.power(x, n)) == oracle_power(tower, x.level, a, n)
+
+
+T5 = CyclotomicTower(TowerParams(p=5, s=1, max_level=3, prec=60))
+
+
+@pytest.mark.parametrize("digits", [1, 8, 16, 36, 60])
+@pytest.mark.parametrize("kind", ["pair", "square", "newton", "maximal"])
+def test_big_products_match_the_convolution_oracle(digits, kind):
+    # phi 500: a Newton step from d to 2d digits multiplies y, whose ints are
+    # below p^d, read at cap 2d; maximal ints fill every slot to its bound
+    rng, p, level = random.Random(digits), 5, 3
+    phi = T5.phi(level)
+    high = p ** max(1, digits // 2) if kind == "newton" else p**digits
+    if kind == "maximal":
+        xa, xb = [high - 1] * phi, [high - 1] * phi
+    else:
+        xa, xb = _draws(rng, p**digits, phi), _draws(rng, high, phi)
+        if sum(xa) % p == 0:  # a unit, so that power meets Frobenius at one digit
+            xa[0] = (xa[0] + 1) % p**digits
+    a, b = (0, digits, xa), (1, digits, xb)
+    if kind == "square":
+        b = a
+    x, y = T5._unpack(level, a), T5._unpack(level, b)
+    assert T5._pack(T5.mul(x, y)) == oracle_product(T5, level, a, b)
+    if kind == "pair":
+        n = 10 if digits == 1 else 3
+        assert T5._pack(T5.power(x, n)) == oracle_power(T5, level, a, n)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("square", [False, True])
+def test_products_on_both_sides_of_the_ks2_cutoff_match_the_oracle(level, side, square, monkeypatch):
+    # slots of w bytes with phi w just below or at KS2_BYTES; a spy on _ks2
+    # shows which product ran, and maximal ints fill the widest slot
+    calls = []
+    monkeypatch.setattr(tower_module, "_ks2", lambda *args: calls.append(args) or _ks2(*args))
+    rng, p, phi = random.Random(level), 5, T5.phi(level)
+    w = (KS2_BYTES - 1) // phi if side == "below" else -(-KS2_BYTES // phi)
+    top = math.isqrt((2 ** (8 * w) - 1) // phi)
+    assert (phi * top * top).bit_length() > 8 * (w - 1)
+    digits = next(d for d in range(1, 200) if p**d > top)
+    xa, xb = _draws(rng, top + 1, phi), _draws(rng, top + 1, phi)
+    xa[-1] = xb[0] = top
+    a, b = (0, digits, xa), (2, digits, xb)
+    if square:
+        b = a
+    assert T5._product(level, a, b) == oracle_product(T5, level, a, b)
+    assert len(calls) == (side == "above")
 
 
 @settings(max_examples=80, deadline=None)
