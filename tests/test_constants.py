@@ -19,6 +19,7 @@ from cyclodiff.constants import (
     perp_basis_indices,
     trace_bound_cell,
 )
+from test_sweep import TOWERS as SWEEP_TOWERS
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +257,35 @@ def test_norm_ladder_starts_at_8_digits_and_climbs_on_bottom(monkeypatch, prec):
             assert cap == min(2 * before, prec)
     # x = rho^0 = 1: N(1) - 1^p is exactly zero, bottom on every rung
     assert climbs[0][1] == ([8, 16, 24] if prec == 24 else [6])
+
+
+@pytest.mark.parametrize("p, levels, prec", [*SWEEP_TOWERS, (2, 6, 8), (11, 1, 6)])
+def test_the_constants_take_their_closed_forms(p, levels, prec):
+    """Every cell of the sweep towers, of p = 2 at 6 levels and of p = 11.
+
+    c_norm(n, k) = 1 - p^-(n+s), so c_norm = 1 - p^-s.  For m = n + k and deg
+    = p^k put u = N(rho_m) / rho_m^deg, a unit.  Basis rung i measures
+    val(u^i - 1), and u^i - 1 = (u - 1)(1 + u + ... + u^(i-1)) with an
+    integral second factor, so rung 1 is the basis minimum.  A unit's rung is
+    at least 1, as N(x) = x^deg mod p (Coleman).  Rung 1 is 1 - p^-(n+s) (a
+    sketch: N(zeta_m - 1) = +-(zeta_n - 1), and (1 + rho_(n+1))^p = 1 + rho_n
+    gives val(rho_m^deg -+ rho_n) = 1 + val(rho_(n+1)), which less deg
+    val(rho_m) = 1/phi(n) is 1 - p^-(n+s)); it is below 1, so it is the cell.
+
+    c_2(n, k) = 0: R_n and its perp complement are coordinate masks on the
+    zeta basis, so every image of a basis element is integral.
+
+    c_3(n, k) = 1, a = b = 0 (so every drift is 0), n_0 = 0, m_c = 1 at
+    p = 2 and 0 otherwise, and n_1 = 2 + m_c are observed values, not
+    closed forms proved here."""
+    s = 2 if p == 2 else 1
+    tower = CyclotomicTower(TowerParams(p=p, s=s, max_level=levels, prec=prec))
+    rep = estimate_constants(tower, seed=0, samples=4)
+    cells = norm_cells(tower)
+    assert rep.c_norm_cells == tuple(((n, k), 1 - Fraction(1, p ** (n + s))) for n, k in cells)
+    assert rep.c_norm == rep.c_norm_witness == 1 - Fraction(1, p**s)
+    assert rep.c2_cells == tuple((cell, 0) for cell in cells) and rep.c2_star == 0
+    # observed, not proved
+    assert rep.c3_cells == tuple((cell, 1) for cell in cells) and rep.c3_star == 1
+    assert (rep.a, rep.b, rep.drifts) == (0, 0, (0,) * (levels + 1))
+    assert (rep.n_0, rep.m_c, rep.n_1) == (0, int(p == 2), 2 + int(p == 2))

@@ -329,21 +329,23 @@ SMALL = {
     p: CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=8))
     for p, levels in ((2, 2), (3, 2), (5, 1))
 }
+FOLD_TOWERS = {**SMALL, 7: CyclotomicTower(TowerParams(p=7, s=1, max_level=1, prec=6))}
 
 
 @st.composite
-def small_elements(draw, count=1):
-    """(tower, x1, ..., x_count): elements of one level of a small p = 2, 3
-    or 5 tower whose coordinates carry their own precision and valuation, so
-    that some are bottom and some elements are zero at their precision."""
-    tower = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+def small_elements(draw, count=1, towers=SMALL):
+    """(tower, x1, ..., x_count): elements of one level of a small tower
+    (p = 2, 3 or 5; p = 7 too with ``towers=FOLD_TOWERS``) whose coordinates
+    carry their own precision and valuation, so that some are bottom and
+    some elements are zero at their precision."""
+    tower = towers[draw(st.sampled_from(sorted(towers)))]
     p = tower.p
     level = draw(st.integers(0, tower.max_level))
     elements = []
     for _ in range(count):
         coeffs = []
         for _ in range(tower.phi(level)):
-            prec = draw(st.integers(4, 8))
+            prec = draw(st.integers(4, tower.prec))
             val = draw(st.integers(0, prec))
             unit = draw(st.integers(1, p ** prec))
             coeffs.append(PadicScalar.from_int(p, p ** val * unit, prec))
@@ -810,16 +812,17 @@ def oracle_tower(tower):
     return oracle
 
 
-ORACLE = {p: oracle_tower(tower) for p, tower in SMALL.items()}
+ORACLE = {p: oracle_tower(tower) for p, tower in FOLD_TOWERS.items()}
 
 
 def truncated(x, digits):
     return TowerElement(x.tower, x.level, [c.truncate(digits) for c in x.coeffs])
 
 
-@settings(max_examples=120, deadline=None)
-@given(small_elements())
+@settings(max_examples=160, deadline=None)
+@given(small_elements(towers=FOLD_TOWERS))
 def test_invert_matches_the_full_precision_oracle(case):
+    # p = 7 is the first prime where v = z^(p-1) multiplies inside `power`
     tower, x = case
     vx = valuation_or_none(tower, x)
     assume(vx is not None)
@@ -836,8 +839,8 @@ def test_invert_matches_the_full_precision_oracle(case):
     assert tower.valuation(xi) == -vx
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_elements())
+@settings(max_examples=80, deadline=None)
+@given(small_elements(towers=FOLD_TOWERS))
 def test_invert_of_a_truncated_unit_is_the_truncated_inverse(case):
     # a low-precision inverse is the high-precision one, truncated
     tower, x = case
@@ -867,6 +870,76 @@ def test_invert_raises_on_a_wrong_newton_product():
     with pytest.raises(InsufficientPrecision):
         tower.invert(u)
     assert fired
+
+
+def newton_mod_p(tower, z):
+    """z^-1 mod p by Newton's step y <- y + y(1 - zy) from the residue
+    inverse, until the residual is zero: the mod-p phase of `_invert_unit`
+    before Frobenius, kept as its oracle.  The residual starts in rho O_K and
+    squares each step, and p = rho^e times a unit, so e.bit_length() + 1
+    steps reach zero."""
+    p, level, z1 = tower.p, z.level, tower.truncate(z, 1)
+    res = sum(c.rep_mod(1) for c in z1.coeffs if not c.is_bottom) % p  # zeta = 1 mod rho
+    y = tower.constant(level, pow(res, -1, p), 1)
+    for _ in range(tower.ramification(level).bit_length() + 1):
+        err = tower.one(level, 1) - tower.mul(z1, y)
+        if err.is_all_bottom:
+            return y
+        y = tower.add(y, tower.mul(y, err))
+    raise AssertionError("Newton's loop did not converge mod p")
+
+
+DEEP_P2 = CyclotomicTower(TowerParams(p=2, s=2, max_level=9, prec=20))
+
+
+@pytest.mark.parametrize(
+    "tower", [*FOLD_TOWERS.values(), DEEP_P2], ids=lambda t: f"p{t.p}-levels{t.max_level}"
+)
+def test_the_frobenius_inverse_mod_p_matches_newtons_loop(tower):
+    # every level of every small tower, p = 7 and a deep p = 2 tower included;
+    # a constant unit is where Newton's loop stopped at once
+    rng = random.Random(tower.p * 100 + tower.max_level)
+    for level in range(tower.max_level + 1):
+        for u in (tower.constant(level, -1), *(tower.random_unit(level, rng) for _ in range(3))):
+            want = tower._pack(newton_mod_p(tower, u))
+            assert tower._pack(tower.invert(tower.truncate(u, 1))) == want
+            assert tower._pack(tower.truncate(tower.invert(u), 1)) == want
+
+
+@pytest.mark.parametrize("cap", [1, 2, 20])
+def test_invert_raises_on_a_wrong_frobenius(cap, monkeypatch):
+    # a re-index by p^(k+1) for p^k builds a wrong inverse mod p: the check
+    # product at cap 1 or the first Newton step above it must refuse it
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=20))
+    u = tower.truncate(tower.random_unit(2, random.Random(83)), cap)
+    honest = CyclotomicTower._frobenius
+    monkeypatch.setattr(
+        CyclotomicTower,
+        "_frobenius",
+        lambda self, level, ints, pk: honest(self, level, ints, pk * self.p),
+    )
+    with pytest.raises(InsufficientPrecision):
+        tower.invert(u)
+
+
+def test_a_unit_inversion_makes_few_one_digit_products(monkeypatch):
+    # mod p: v = z^(p-1) by square-and-multiply, at most two products per bit
+    # of J = level + s for the Itoh-Tsujii chain, and at cap 1 one check;
+    # Newton's loop mod p made 17 here
+    tower = CyclotomicTower(TowerParams(p=5, s=1, max_level=3, prec=60))
+    digits, product = [], CyclotomicTower._product
+    monkeypatch.setattr(
+        CyclotomicTower,
+        "_product",
+        lambda self, level, a, b: digits.append((a[1], b[1])) or product(self, level, a, b),
+    )
+    bound = math.ceil(math.log2(tower.p)) + 2 * (3 + tower.s).bit_length() + 1
+    u = tower.random_unit(3, random.Random(5))
+    for cap in (60, 1):
+        digits.clear()
+        ui = tower.invert(tower.truncate(u, cap))
+        assert sum(a == b == 1 for a, b in digits) <= bound
+        assert tower.mul(u, ui) == 1
 
 
 @lru_cache(maxsize=None)
@@ -924,9 +997,6 @@ def test_mul_matches_the_schoolbook_product(case):
     assert got == want
     # the packed product never claims a digit the exact one does not know
     assert all(g.prec <= w.prec for g, w in zip(got.coeffs, want.coeffs))
-
-
-FOLD_TOWERS = {**SMALL, 7: CyclotomicTower(TowerParams(p=7, s=1, max_level=1, prec=6))}
 
 
 @settings(max_examples=150, deadline=None)
