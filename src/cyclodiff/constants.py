@@ -19,8 +19,9 @@ Every constant is computed from tower data, never assumed:
   read off the package's one integer elimination kernel
   (`differentials.echelon`) run mod p^G;
 * n_0 is the least shift making p^(n+n_0) O_{K_n} land in the kernel of d,
-  reduced by the chain rule to a valuation minimum over monomials and
-  spot-checked against the heavyweight route;
+  read off the kernel tables of `differentials.kernel_lattice`; it is 0, as
+  p^n (the different over K_0) kills the differentials of O_{K_n}, and a
+  chain-rule spot check against the heavyweight route stays;
 * n_1 = ceil(a - b + m_c + 2).
 
 Randomness: each cell draws from its own generator seeded by
@@ -38,9 +39,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InsufficientPrecision
-from .padic import vp
 from .tower import CyclotomicTower
-from .differentials import different, differential, echelon, level_transition_factor
+from .differentials import different, differential, echelon, kernel_lattice, level_transition_factor
 
 
 def cell_rng(seed: int, tag: str, n: int, k: int) -> random.Random:
@@ -190,22 +190,18 @@ def galois_defect_cell(tower: CyclotomicTower, n: int, k: int) -> int:
 
 
 def kernel_shift(tower: CyclotomicTower) -> int:
-    """n_0: least c >= 0 with p^(n+c) O_{K_n} inside the kernel of d at every
-    higher level.  By the chain rule d(rho_0^j rho_n^i) picks up exactly
-    p^(N-n) zeta^(...) du, so the condition reduces to
-    c + val_p(i) + j/e_0 + (i-1)/e_n >= 0 over the monomial basis."""
-    worst = Fraction(0)
+    """n_0: least c >= 0 with p^(n+c) O_{K_n} inside the kernel of d over
+    K_0 at every level n, read off the kernel tables: p^(n+c) rho_0^j rho_n^i
+    is in ker(d) exactly when (n + c) e_0 >= exps_n[i], so n_0 is the
+    largest ceil(exps_n[i] / e_0) - n.  It is 0: the table's bound n - v_p(i)
+    - (i-1)/e_n is at most n, as p^n, the different's valuation over K_0,
+    kills every differential of O_{K_n}."""
     e0 = tower.phi(0)
-    for n in range(tower.max_level + 1):
-        e = tower.phi(n)
-        for i in range(tower.degree(n)):
-            base = Fraction(vp(i, tower.p)) if i else None
-            if base is None:
-                continue  # constants differentiate to zero
-            for j in range(e0):
-                v = base + Fraction(j, e0) + Fraction(i - 1, e)
-                if v < worst:
-                    worst = v
+    n_0 = max(
+        -(-r // e0) - n
+        for n in range(tower.max_level + 1)
+        for r in kernel_lattice(tower, n, "K0").exps
+    )
     # spot-check the chain-rule shortcut against the full route
     if tower.max_level >= 2:
         b = tower.mul(tower.embed(tower.rho_power(0, 1), 1), tower.uniformizer(1))
@@ -215,7 +211,7 @@ def kernel_shift(tower: CyclotomicTower) -> int:
         expected = Fraction(1, e0) + fac
         if direct != expected:
             raise InsufficientPrecision("chain-rule shortcut failed its spot check")
-    return max(0, math.ceil(-worst))
+    return max(0, n_0)
 
 
 # ---------------------------------------------------------------------------

@@ -307,10 +307,7 @@ def commensurability_check(
 
 @dataclass(frozen=True)
 class KernelLattice:
-    """ker(d) on O_{K_level} relative to the base, a monomial lattice:
-    base K0:  +_i  rho_0^(exps[i]) O_{K_0} rho_n^i      (exps in rho_0 units)
-    base Qp:  +_k  p^(exps[k]) Z_p rho_n^k               (exps in p units)
-    """
+    """ker(d) on O_{K_level} relative to the base (`kernel_lattice`)."""
 
     level: int
     base: str
@@ -318,23 +315,27 @@ class KernelLattice:
 
 
 def kernel_lattice(tower: CyclotomicTower, level: int, base: str = "K0") -> KernelLattice:
-    _check_base(base)
+    """ker(d) on O_{K_level} over the base, a monomial lattice:
+    base K0:  +_i  rho_0^(exps[i]) O_{K_0} rho_n^i   (1/e_0 grid: exps in rho_0 steps)
+    base Qp:  +_k  p^(exps[k]) Z_p rho_n^k            (integer grid: exps in p steps)
+    For x = sum_k c_k rho_n^k the terms of dx = sum_k k c_k rho_n^(k-1) d(rho_n)
+    have distinct valuations, so dx = 0 exactly when every slot k >= 1 meets
+    val(c_k) >= mod - v_p(k) - (k-1)/e, mod = `modulus_valuation`, e = phi(level)."""
+    mod = modulus_valuation(tower, level, base)
     tower._check_level(level)
-    e0 = tower.phi(0)
     e = tower.phi(level)
-    if base == "K0":
-        exps = [0]
-        for i in range(1, tower.degree(level)):
-            # val(c_i) >= level - val_p(i) - (i-1)/e, in rho_0 steps of 1/e0
-            bound = Fraction(level - vp(i, tower.p)) - Fraction(i - 1, e)
-            exps.append(max(0, math.ceil(bound * e0)))
-    else:
-        mod = modulus_valuation(tower, level, "Qp")
-        exps = [0]
-        for k in range(1, e):
-            bound = mod - Fraction(vp(k, tower.p)) - Fraction(k - 1, e)
-            exps.append(max(0, math.ceil(bound)))
+    slots, grid = (tower.degree(level), tower.phi(0)) if base == "K0" else (e, 1)
+    exps = [0] + [
+        max(0, math.ceil((mod - vp(k, tower.p) - Fraction(k - 1, e)) * grid))
+        for k in range(1, slots)
+    ]
     return KernelLattice(level, base, tuple(exps))
+
+
+def _lane_exponents(r: int, e0: int) -> List[int]:
+    """a(r, j) = max(0, -floor((j - r)/e_0)) for j < e_0: the least p^a with
+    p^a rho_0^j in rho_0^r O_{K_0}, lane by lane."""
+    return [max(0, -((j - r) // e0)) for j in range(e0)]
 
 
 def _k0_coeffs_in_kernel(tower: CyclotomicTower, ker: KernelLattice, coeffs) -> bool:
@@ -352,9 +353,7 @@ def kernel_mixed_columns(tower: CyclotomicTower, ker: KernelLattice):
     cols = []
     if ker.base == "K0":
         for i in range(d):
-            r = ker.exps[i]
-            for j in range(d0):
-                a = max(0, -((j - r) // d0))
+            for j, a in enumerate(_lane_exponents(ker.exps[i], d0)):
                 col = [PadicScalar.bottom(tower.p, tower.prec) for _ in range(dim)]
                 col[i * d0 + j] = PadicScalar.raw(tower.p, a, 1, tower.prec + a)
                 cols.append(col)
@@ -380,8 +379,7 @@ def random_kernel_element(tower: CyclotomicTower, level: int, rng) -> TowerEleme
     p, prec, d0 = tower.p, tower.prec, tower.phi(0)
     coeffs = []
     for r in kernel_lattice(tower, level).exps:
-        exps = [max(0, -((j - r) // d0)) for j in range(d0)]
-        lane = [rng.randrange(p ** (prec - a)) * p ** a for a in exps]
+        lane = [rng.randrange(p ** (prec - a)) * p ** a for a in _lane_exponents(r, d0)]
         coeffs.append(tower.from_rho_power_coords(0, lane))
     return tower.from_rho_basis(level, coeffs)
 
@@ -397,23 +395,19 @@ def divisibility_exponent(tower: CyclotomicTower, x: TowerElement, m: int) -> Op
     zero class (every i works).
 
     For m >= level(x) the test is coefficientwise: the slot constraint from
-    p^i d(O_{K_m}) + p^m O is val(c_k) >= i exactly on the slots with
-    val(k c_k rho^(k-1)) < m.  For m < level(x) it is lattice membership
+    p^i d(O_{K_m}) + p^m O is val(c_k) >= i exactly on the slots that the
+    level-m kernel table does not admit (there k < p^m, so the bound is
+    m - v_p(k) on the 1/e_0 grid).  For m < level(x) it is lattice membership
     x in p^i O_{K_m} + ker(d), tried for i up to m + 8.
     """
     tower._check_level(m)
     lev = x.level
     if m >= lev:
         coeffs = tower.to_rho_basis(tower.embed(x, m))
-        best = None
-        for k in range(1, len(coeffs)):
-            vc = tower.valuation_or_none(coeffs[k])
-            if vc is None or Fraction(vp(k, tower.p)) + vc >= m:
-                continue
-            cand = math.floor(vc)
-            if best is None or cand < best:
-                best = cand
-        return best
+        exps, e0 = kernel_lattice(tower, m).exps, tower.phi(0)
+        vals = [(k, tower.valuation_or_none(coeffs[k])) for k in range(1, len(coeffs))]
+        low = [math.floor(v) for k, v in vals if v is not None and v * e0 < exps[k]]  # not admitted
+        return min(low, default=None)
     ker_cols = kernel_mixed_columns(tower, kernel_lattice(tower, lev, "K0"))
     base_cols = sublevel_columns(tower, m, lev)
     xvec = mixed_coords(tower, x)
@@ -465,7 +459,7 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
         parts.append(y)
         need = Fraction(lev - n1)
         v = tower.valuation_or_none(y)
-        margins.append((Fraction(tower.prec) if v is None else v) - need)  # zero: huge margin
+        margins.append((Fraction(y.cap) if v is None else v) - need)  # zero at its cap: val >= cap
     tail = layers[-1]
     if not (layers[0] - x).is_all_bottom:
         raise DomainError("internal error: decomposition failed to telescope")

@@ -1,0 +1,64 @@
+"""Byte audit: four reports against their full pinned sha256.
+
+    PYTHONPATH=src python tests/byte_audit.py
+
+Each report runs in process through `cyclodiff.cli.main`, and the script
+prints one line per report: `ok` or `MISMATCH` with the hash it got.  It
+exits 1 on any mismatch, so a change meant to keep every report byte can be
+checked beyond the goldens and the sweep.  The two `verify all` desk reports
+are the benchmark's seed-0 pins; the other two are pinned here only.
+Stdlib only; pytest does not collect it (no `test_` prefix).
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from cyclodiff.cli import main
+
+DESK_P3 = ["--p", "3", "--s", "1", "--levels", "4", "--prec", "60"]
+DESK_P2 = ["--p", "2", "--s", "2", "--levels", "3", "--prec", "60"]
+REPORTS = [
+    (
+        ["verify", "all", *DESK_P3, "--seed", "0", "--constants-samples", "200"],
+        "c44df2ef02bf552af17856431037bf12ca6e79409ab6b1154d5e47711aa7da5b",
+    ),
+    (
+        ["verify", "all", *DESK_P2, "--seed", "0", "--constants-samples", "200"],
+        "9e90a093747060ed3662d22890e01295d78bf858e200f94370ca18b049e84df6",
+    ),
+    (
+        ["constants", *DESK_P3, "--seed", "0", "--samples", "1000"],
+        "78d3ce14d0deb48bd154b15b1e69fe810402f72e3546aa90f46ff8c96f0c2a1f",
+    ),
+    (
+        ["verify", "all", "--p", "5", "--levels", "2", "--prec", "10",
+         "--constants-samples", "4", "--samples", "2"],
+        "709343c5f0746b237f7a92769e2420b7d726c8a00b0daf841bbf2596ea6b71ac",
+    ),
+]
+
+
+def report_sha256(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def audit() -> int:
+    bad = 0
+    for argv, pin in REPORTS:
+        got = report_sha256(argv)
+        if got == pin:
+            print(f"ok        {pin[:8]}  tower {' '.join(argv)}")
+        else:
+            bad += 1
+            print(f"MISMATCH  {got} != {pin}  tower {' '.join(argv)}")
+    print(f"{len(REPORTS) - bad}/{len(REPORTS)} reports match their pins")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(audit())

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodiff.differentials import echelon
+from cyclodiff.differentials import differential, echelon
 from cyclodiff.errors import InsufficientPrecision
+from cyclodiff.padic import vp
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.constants import (
     cell_rng,
@@ -164,9 +165,32 @@ def test_galois_defect_cell_rejects_a_rank_shortfall(t3, monkeypatch):
         galois_defect_cell(t3, 0, 1)
 
 
+def kernel_shift_oracle(tower):
+    """n_0 by the monomial loop: the least c >= 0 with c + v_p(i) + j/e_0 +
+    (i-1)/e_n >= 0 over the monomials rho_0^j rho_n^i, i >= 1, of every
+    level, as the chain rule reduces it."""
+    e0 = tower.phi(0)
+    worst = Fraction(0)
+    for n in range(tower.max_level + 1):
+        for i in range(1, tower.degree(n)):
+            for j in range(e0):
+                worst = min(worst, vp(i, tower.p) + Fraction(j, e0) + Fraction(i - 1, tower.phi(n)))
+    return max(0, math.ceil(-worst))
+
+
 def test_kernel_shift_zero(t3, t2):
-    assert kernel_shift(t3) == 0
-    assert kernel_shift(t2) == 0
+    sweep = [
+        CyclotomicTower(TowerParams(p=p, s=2 if p == 2 else 1, max_level=levels, prec=prec))
+        for p, levels, prec in SWEEP_TOWERS
+    ]
+    for tower in (t3, t2, *sweep):
+        assert kernel_shift(tower) == kernel_shift_oracle(tower) == 0
+        # n_0 = 0 says p^n kills d on O_{K_n}: every monomial, through d itself
+        for n in range(tower.max_level + 1):
+            for i in range(tower.degree(n)):
+                for j in range(tower.phi(0)):
+                    mono = tower.mul(tower.embed(tower.rho_power(0, j), n), tower.rho_power(n, i))
+                    assert differential(tower, tower.scale_p(mono, n), "K0").is_zero(), (n, i, j)
 
 
 def test_norm_congruence_cell_direct(t3):

@@ -243,6 +243,41 @@ def test_kernel_is_sharp(t3):
         assert not kernel_contains(t3, ker, x)
 
 
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("p", sorted(SMALL))
+def test_the_kernel_table_is_exactly_ker_d(p, base):
+    """Two-sided, at every level and slot: the table admits x exactly when
+    dx = 0.  x is a kernel element plus one monomial p^t rho_0^j rho_n^i
+    (p^t rho_n^k over Q_p) with t one below, at and one above the table's
+    exponent for it, so both verdicts are met at the boundary."""
+    tower = SMALL[p]
+    d0 = tower.phi(0)
+    for level in range(tower.max_level + 1):
+        ker = kernel_lattice(tower, level, base)
+        rng = random.Random(level)
+        if base == "K0":
+            x = random_kernel_element(tower, level, rng)
+            slots = [(i, j) for i in range(tower.degree(level)) for j in range(d0)]
+        else:
+            x = random_kernel_element_oracle(tower, level, rng, "Qp")
+            slots = [(k, 0) for k in range(tower.phi(level))]
+        for i, j in slots:
+            r = ker.exps[i]
+            if base == "K0":
+                # the least t with p^t rho_0^j in rho_0^r O_{K_0}
+                exp = max(0, -((j - r) // d0))
+                mono = tower.mul(tower.embed(tower.rho_power(0, j), level), tower.rho_power(level, i))
+            else:
+                exp, mono = r, tower.rho_power(level, i)
+            for t in (exp - 1, exp, exp + 1):
+                if t < 0:
+                    continue
+                y = x + tower.scale_p(mono, t)
+                admitted = kernel_contains(tower, ker, y)
+                assert admitted == differential(tower, y, base).is_zero(), (level, i, j, t)
+                assert admitted == (t >= exp), (level, i, j, t)
+
+
 # ---------------------------------------------------------------------------
 # mixed coordinates and lattices
 # ---------------------------------------------------------------------------
@@ -429,6 +464,19 @@ def test_flat_decompose_two_steps(t3):
     dec = flat_decompose(t3, x, 1)
     assert [y.level for y in dec.parts] == [3, 2]
     assert all(m >= 0 for m in dec.margins)
+
+
+def test_a_vanishing_part_claims_no_margin_beyond_its_cap():
+    """A part that vanishes at its cap c is only known to have val >= c, so
+    its margin is c - need.  3^5 x cut to 5 digits is all bottom, and the
+    lift 3^5 x, which cuts to it, has margins (163/27, 109/18)."""
+    t = CyclotomicTower(TowerParams(p=3, s=1, max_level=3, prec=20))
+    lift = t.scale_p(random_kernel_element(t, 3, random.Random(0)), 5)
+    z = t.truncate(lift, 5)
+    assert z.is_all_bottom
+    margins = flat_decompose(t, z, 1).margins
+    assert margins == (3, 4)  # cap - need for the parts at levels 3 and 2
+    assert all(m <= m_lift for m, m_lift in zip(margins, flat_decompose(t, lift, 1).margins))
 
 
 def test_flat_decompose_preconditions(t3):
