@@ -9,7 +9,8 @@ finite, exact analogue of the series expansions used for the completed tower.
 One gauge, `perp_margins`, reads val(R_n_perp x) - n off the components,
 and everything else is a minimum or a threshold on it:
 
-* `PerpSeries.decay_margin` is min_n (val(R_n_perp x) - n);
+* `PerpSeries.decay_margin` is min_n (val(R_n_perp x) - n), refused when a
+  component that vanishes at its cap could lie below it;
 * `w2_valuation` is its floor;
 * `layered_sum_membership` reports the least c >= 0 with x in
   sum_n p^(n-c) O_{K_n}, read componentwise, which is exact because R_n_perp
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import DomainError, ValuationOfZero
+from .errors import DomainError, InsufficientPrecision, ValuationOfZero
 from .padic import check_json
 from .tower import CyclotomicTower, TowerElement
 
@@ -41,9 +42,16 @@ class PerpSeries:
         return self.components[0].tower
 
     def decay_margin(self) -> Optional[Fraction]:
-        """min_n (val(components[n]) - n); None for the zero series."""
+        """min_n (val(components[n]) - n); None for the zero series.  A
+        component that vanishes at its cap c has a margin of only >= c - n, so
+        where that bound lies below the least finite margin the minimum is not
+        known and InsufficientPrecision is raised."""
         margins = perp_margins(self._tower(), self.components)
-        return min((m for m in margins if m is not None), default=None)
+        least = min((m for m in margins if m is not None), default=None)
+        for n, (comp, m) in enumerate(zip(self.components, margins)):
+            if m is None and least is not None and comp.cap - n < least:
+                raise InsufficientPrecision(f"perp component {n} vanishes at its cap {comp.cap}")
+        return least
 
     def certify_perpendicular(self) -> bool:
         """Each nonzero term n >= 1 must vanish under the trace to the level

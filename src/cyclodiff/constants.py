@@ -64,9 +64,7 @@ def norm_cells(tower: CyclotomicTower) -> List[Tuple[int, int]]:
 def different_drift(tower: CyclotomicTower) -> Tuple[Fraction, Fraction, tuple]:
     """(a, b, drifts): b is the asymptote of val(d_n) - n, a the exact bound
     on p^n |val(d_n) - n - b| over the tested levels."""
-    drifts = tuple(
-        different(tower, n, "K0").valuation - n for n in range(tower.max_level + 1)
-    )
+    drifts = tuple(different(tower, n, "K0") - n for n in range(tower.max_level + 1))
     b = drifts[-1]
     a = max(abs(d - b) * tower.p ** n for n, d in enumerate(drifts))
     return a, b, drifts

@@ -55,12 +55,6 @@ def _check_base(base: str):
 
 
 @dataclass(frozen=True)
-class DifferentData:
-    generator: TowerElement
-    valuation: Fraction
-
-
-@dataclass(frozen=True)
 class OmegaClass:
     """A class in Omega = O_{K_level}/(p-part of the different) * d(rho).
 
@@ -83,13 +77,13 @@ class OmegaClass:
         return v is None or v >= self.modulus_val
 
 
-def different(tower: CyclotomicTower, level: int, base: str = "K0") -> DifferentData:
-    """g'(rho_level) over the base and its valuation, measured only:
-    `tatediff` compares the valuation with n and n + s - 1/(p-1), and
+def different(tower: CyclotomicTower, level: int, base: str = "K0") -> Fraction:
+    """The valuation of the different over the base, read off its generator
+    g'(rho_level) (`CyclotomicTower.minpoly_derivative_at_rho`), measured
+    only: `tatediff` compares it with n and n + s - 1/(p-1), and
     `different-drift-vanishes` judges the a and b read from it."""
     _check_base(base)
-    gen = tower.minpoly_derivative_at_rho(level, over_qp=base == "Qp")
-    return DifferentData(gen, tower.valuation(gen))
+    return tower.valuation(tower.minpoly_derivative_at_rho(level, over_qp=base == "Qp"))
 
 
 def modulus_valuation(tower: CyclotomicTower, level: int, base: str) -> Fraction:
@@ -338,13 +332,6 @@ def _lane_exponents(r: int, e0: int) -> List[int]:
     return [max(0, -((j - r) // e0)) for j in range(e0)]
 
 
-def _k0_coeffs_in_kernel(tower: CyclotomicTower, ker: KernelLattice, coeffs) -> bool:
-    """Whether the K_0-coefficients of an element meet the kernel bounds."""
-    e0 = tower.phi(0)
-    vals = (tower.valuation_or_none(c) for c in coeffs)
-    return all(v is None or v >= Fraction(r, e0) for v, r in zip(vals, ker.exps))
-
-
 def kernel_mixed_columns(tower: CyclotomicTower, ker: KernelLattice):
     """Generators of the kernel lattice in the shared mixed coordinates."""
     d0 = tower.phi(0)
@@ -398,7 +385,11 @@ def divisibility_exponent(tower: CyclotomicTower, x: TowerElement, m: int) -> Op
     p^i d(O_{K_m}) + p^m O is val(c_k) >= i exactly on the slots that the
     level-m kernel table does not admit (there k < p^m, so the bound is
     m - v_p(k) on the 1/e_0 grid).  For m < level(x) it is lattice membership
-    x in p^i O_{K_m} + ker(d), tried for i up to m + 8.
+    x in p^i O_{K_m} + ker(d), tried for i <= m and no further: p^m O_{K_m}
+    lies in ker(d) at level(x).  The level-m table has no exponent above m
+    (n_0 = 0 in `kernel_shift`), and ker(d) at level(x) meets O_{K_m} in ker(d)
+    at level m, since d(rho_m) = p^(level(x) - m) * unit * d(rho_level(x)).  So
+    the test at i = m is exactly dx = 0, and passing it means None.
     """
     tower._check_level(m)
     lev = x.level
@@ -412,14 +403,11 @@ def divisibility_exponent(tower: CyclotomicTower, x: TowerElement, m: int) -> Op
     base_cols = sublevel_columns(tower, m, lev)
     xvec = mixed_coords(tower, x)
     dim = len(xvec)
-    last_ok = -1
-    for i in range(m + 9):
+    for i in range(m + 1):
         cols = [[e.shift(i) for e in col] for col in base_cols] + ker_cols
-        lat = LatticeBasis.from_generators(tower.p, dim, cols)
-        if not lat.contains(xvec):
-            return last_ok
-        last_ok = i
-    return None  # stable through the cap: treat as unbounded
+        if not LatticeBasis.from_generators(tower.p, dim, cols).contains(xvec):
+            return i - 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +429,12 @@ def flat_decompose(tower: CyclotomicTower, x: TowerElement, n1: int) -> FlatDeco
     n = x.level
     if n <= n1:
         raise DomainError(f"need level(x) > n1, got level {n} and n1 {n1}")
+    if not differential(tower, x, "K0").is_zero():
+        raise DomainError("decomposition needs dx = 0 (x in the kernel lattice)")
     # x = sum_i c_i rho_n^i.  layers[k] = sum_j c_(p^k j) rho_(n-k)^j, cut to
     # the working precision: layers[0] is x, the parts are the steps
     # layers[k-1] - layers[k], and the last layer is the tail.
     xc, p = tower.to_rho_basis(x), tower.p
-    if not _k0_coeffs_in_kernel(tower, kernel_lattice(tower, n, "K0"), xc):
-        raise DomainError("decomposition needs dx = 0 (x in the kernel lattice)")
     layers = []
     for k in range(n - n1 + 1):
         layer = tower.from_rho_basis(n - k, xc[:: p ** k])

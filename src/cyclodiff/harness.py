@@ -103,14 +103,14 @@ class _Margins:
 
 def _run_tatediff(tower, seed, constants, samples):
     for n in range(tower.max_level + 1):
-        v = different(tower, n, "K0").valuation
+        v = different(tower, n, "K0")
         yield _assertion(
             f"different-over-first-layer-level-{n}",
             v == n,
             {"level": n, "valuation": _frozen(v), "expected": n},
         )
     for n in range(tower.max_level + 1):
-        v = different(tower, n, "Qp").valuation
+        v = different(tower, n, "Qp")
         want = Fraction(n + tower.s) - Fraction(1, tower.p - 1)
         yield _assertion(
             f"different-over-base-level-{n}",
@@ -381,7 +381,7 @@ def _run_nopdiv(tower, seed, constants, samples):
 
 
 def _run_base_change(tower, seed, constants, samples):
-    v0 = different(tower, 0, "Qp").valuation
+    v0 = different(tower, 0, "Qp")
     r = math.ceil(v0)
     for n in range(1, min(2, tower.max_level) + 1):
         cols_k0 = kernel_mixed_columns(tower, kernel_lattice(tower, n, "K0"))

@@ -20,7 +20,7 @@ from . import __version__
 from .constants import ConstantsReport
 from .errors import DomainError
 from .padic import check_json
-from .tower import CyclotomicTower
+from .tower import CyclotomicTower, TowerParams
 
 
 def jsonable(obj):
@@ -95,24 +95,22 @@ REPORT_KINDS = (
     "w2",
     "element",
 )
-TOWER_MINIMA = {"p": 2, "s": 1, "max_level": 1, "prec": 4}
 
 
 def validate_report(report: dict) -> None:
     """Raise DomainError unless the report has the shared layout: a known
-    kind, a string library version, a tower description of ints at their
-    minima, an int or null seed, a bool verdict, and assertions carrying a
-    string name and anchor, a bool verdict, an optional bool skip flag and
-    an optional witness object.  A suite collection must hold its suites as
-    an object of reports of kind "suite", each checked the same way."""
+    kind, a string library version, a tower description whose four ints make
+    a `TowerParams`, an int or null seed, a bool verdict, and assertions
+    carrying a string name and anchor, a bool verdict, an optional bool skip
+    flag and an optional witness object.  A suite collection must hold its
+    suites as an object of reports of kind "suite", each checked the same
+    way."""
     check_json(report, "report", kind=str, library_version=str, tower=dict)
     if report["kind"] not in REPORT_KINDS:
         raise DomainError(f"report kind {report['kind']!r} is not one of {REPORT_KINDS}")
     tower = report["tower"]
-    check_json(tower, "report tower", **dict.fromkeys(TOWER_MINIMA, int))
-    for key, least in TOWER_MINIMA.items():
-        if tower[key] < least:
-            raise DomainError(f"report tower {key} = {tower[key]} is below {least}")
+    check_json(tower, "report tower", p=int, s=int, max_level=int, prec=int)
+    TowerParams(tower["p"], tower["s"], tower["max_level"], tower["prec"])
     if report.get("seed") is not None:
         check_json(report, "report", seed=int)
     if not isinstance(report.get("passed", False), bool):

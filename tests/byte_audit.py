@@ -1,4 +1,4 @@
-"""Byte audit: four reports against their full pinned sha256.
+"""Byte audit: five reports against their full pinned sha256.
 
     PYTHONPATH=src python tests/byte_audit.py
 
@@ -6,7 +6,8 @@ Each report runs in process through `cyclodiff.cli.main`, and the script
 prints one line per report: `ok` or `MISMATCH` with the hash it got.  It
 exits 1 on any mismatch, so a change meant to keep every report byte can be
 checked beyond the goldens and the sweep.  The two `verify all` desk reports
-are the benchmark's seed-0 pins; the other two are pinned here only.
+are the benchmark's seed-0 pins; the other three are pinned here only.  The
+deep p = 2 constants report takes about 10 s.
 Stdlib only; pytest does not collect it (no `test_` prefix).
 """
 
@@ -36,6 +37,10 @@ REPORTS = [
         ["verify", "all", "--p", "5", "--levels", "2", "--prec", "10",
          "--constants-samples", "4", "--samples", "2"],
         "709343c5f0746b237f7a92769e2420b7d726c8a00b0daf841bbf2596ea6b71ac",
+    ),
+    (
+        ["constants", "--p", "2", "--levels", "8", "--prec", "20", "--samples", "1"],
+        "7070b571be4bcd8923385e46032960c75729c16cd618f3e72764a71cc162a3b2",
     ),
 ]
 

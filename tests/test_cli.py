@@ -280,6 +280,17 @@ def test_level_without_random_exits_2(capsys, tmp_path, command):
     assert "--level" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "w2"])
+def test_a_component_that_vanishes_below_the_minimum_exits_2(capsys, tmp_path, command):
+    # 3^5 + O(3^6): its level-0 component gives 5, but its level-2 component
+    # vanishes at cap 6, which bounds w2 only by 4, and a lift has w2 4
+    tower = CyclotomicTower(TowerParams(3, 1, 2, prec=6))
+    element_file = _write(tmp_path / "elt.json", tower.from_int_coeffs(2, [3**5], 6).to_json())
+    argv = ("--element-file", element_file, "--p", "3", "--levels", "2", "--prec", "6")
+    err = rejected(capsys, command, *argv)
+    assert err == "tower: perp component 2 vanishes at its cap 6\n"
+
+
 def test_element_file_that_is_not_json_exits_2(capsys, tmp_path):
     element_file = tmp_path / "elt.json"
     element_file.write_text("not json")

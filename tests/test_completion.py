@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclodiff.errors import ValuationOfZero
+from cyclodiff.errors import InsufficientPrecision, ValuationOfZero
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.completion import (
     PerpSeries,
@@ -16,6 +17,7 @@ from cyclodiff.completion import (
     series_reconstruct,
     w2_valuation,
 )
+from test_tower import SMALL
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,49 @@ def test_w2_shifts_under_p_scaling(t3):
 def test_w2_of_zero_raises(t3):
     with pytest.raises(ValuationOfZero):
         w2_valuation(t3, t3.zero(2))
+
+
+def test_a_component_that_vanishes_below_the_minimum_is_refused():
+    """3^5 + O(3^6) at level 2 has a level-0 margin of 5, and its level-2
+    component vanishes at cap 6, so that margin is only known to be >= 4.
+    The lift 3^5 + 3^6 zeta at cap 12 cuts to it and has w2 4."""
+    t = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=6))
+    x = t.from_int_coeffs(2, [3**5], 6)
+    lift = t.from_int_coeffs(2, [3**5, 3**6], 12)
+    assert t.truncate(lift, 6).to_json() == x.to_json()
+    assert w2_valuation(t, lift) == 4
+    with pytest.raises(InsufficientPrecision):
+        w2_valuation(t, x)
+    with pytest.raises(InsufficientPrecision):
+        perp_series_decompose(t, x).to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
+def test_a_reported_decay_margin_holds_for_every_lift(p, seed, data):
+    # x is a sum of perp components, some absent and some scaled by p^k, cut
+    # to a cap below the working precision, so that some components vanish
+    # at the cap; y and y + p^cap z are lifts of x to the working precision
+    tower = SMALL[p]
+    level = data.draw(st.integers(1, tower.max_level))
+    rng = random.Random(seed)
+    y = tower.zero(level)
+    for n in range(level + 1):
+        k = data.draw(st.sampled_from((None, 0, 1, 2, 3)))
+        if k is not None:
+            comp = tower.perp_project(tower.random_integral(n, rng), n)
+            y = y + tower.embed(tower.scale_p(comp, k), level)
+    cap = data.draw(st.integers(1, tower.prec - 1))
+    x = tower.truncate(y, cap)
+    try:
+        margin = perp_series_decompose(tower, x).decay_margin()
+    except InsufficientPrecision:
+        return
+    if margin is None:
+        return
+    for lift in (y, y + tower.scale_p(tower.random_integral(level, rng), cap)):
+        assert tower.truncate(lift, cap).to_json() == x.to_json()
+        assert perp_series_decompose(tower, lift).decay_margin() == margin
 
 
 def test_component_valuations_shape(t3):

@@ -94,6 +94,19 @@ def test_every_golden_report_validates(name):
         validate_report(obj)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("p", 4, "p = 4 is not prime"), ("s", 2, "p = 3 requires s = 1"), ("prec", 3, "prec must be >= 4")],
+)
+def test_a_report_tower_must_be_a_tower(key, value, message):
+    # the tower description is checked by the rules that build a tower
+    report = json.loads((GOLDEN / "verify_p3_l3_prec24.json").read_text())
+    validate_report(report)
+    report["tower"][key] = value
+    with pytest.raises(DomainError, match=message):
+        validate_report(report)
+
+
 def _break_nested_flags(rep):
     suite = next(iter(rep["suites"].values()))
     suite["assertions"][0]["passed"] = "yes"
