@@ -10,11 +10,13 @@ One gauge, `perp_margins`, reads val(R_n_perp x) - n off the components,
 and everything else is a minimum or a threshold on it:
 
 * `PerpSeries.decay_margin` is min_n (val(R_n_perp x) - n), refused when a
-  component that vanishes at its cap could lie below it;
+  component that vanishes at its cap could lie below it
+  (`_refuse_vanishing_below`, the one home of that bound);
 * `w2_valuation` is its floor;
 * `layered_sum_membership` reports the least c >= 0 with x in
   sum_n p^(n-c) O_{K_n}, read componentwise, which is exact because R_n_perp
-  maps each O_{K_m} into integers and kills the levels below n;
+  maps each O_{K_m} into integers and kills the levels below n, and refused
+  by the same bound when a vanishing component could need a larger slack;
 * `flatness_test` measures val((g_k - 1) x) - k for the layer generators g_k.
 """
 
@@ -33,7 +35,10 @@ from .tower import CyclotomicTower, TowerElement
 @dataclass(frozen=True)
 class PerpSeries:
     """Exact perp decomposition: components[n] lives at level n and
-    sum_n embed(components[n], level) reconstructs the element."""
+    sum_n embed(components[n], level) reconstructs the element.
+    `series_reconstruct` forms that sum from the bottom level up, in Horner
+    order: embedding is additive and only spreads coordinates, so each top
+    coordinate is the same exact sum as in the flat order, at the same cap."""
 
     level: int
     components: tuple
@@ -45,12 +50,11 @@ class PerpSeries:
         """min_n (val(components[n]) - n); None for the zero series.  A
         component that vanishes at its cap c has a margin of only >= c - n, so
         where that bound lies below the least finite margin the minimum is not
-        known and InsufficientPrecision is raised."""
+        known and InsufficientPrecision is raised (`_refuse_vanishing_below`)."""
         margins = perp_margins(self._tower(), self.components)
         least = min((m for m in margins if m is not None), default=None)
-        for n, (comp, m) in enumerate(zip(self.components, margins)):
-            if m is None and least is not None and comp.cap - n < least:
-                raise InsufficientPrecision(f"perp component {n} vanishes at its cap {comp.cap}")
+        if least is not None:
+            _refuse_vanishing_below(self.components, margins, least)
         return least
 
     def certify_perpendicular(self) -> bool:
@@ -104,9 +108,16 @@ def perp_series_decompose(tower: CyclotomicTower, x: TowerElement) -> PerpSeries
 
 
 def series_reconstruct(tower: CyclotomicTower, series: PerpSeries) -> TowerElement:
-    acc = tower.zero(series.level)
-    for comp in series.components:
-        acc = acc + tower.embed(comp, series.level)
+    """sum_n embed(components[n], level), summed from the bottom level up:
+    acc = embed(acc, n) + components[n] for n = 0..level, from the zero of
+    K_0 at working precision.  Step n adds phi(n) coordinates, so the sum
+    costs phi(0) + ... + phi(level) of them, not (level + 1) phi(level).
+    Embedding only spreads coordinates, so each top coordinate is the same
+    exact sum as in the flat order, read at the same cap: the least of prec
+    and the terms' caps."""
+    acc = tower.zero(0)
+    for n, comp in enumerate(series.components):
+        acc = tower.embed(acc, n) + comp
     return acc
 
 
@@ -124,6 +135,15 @@ def perp_margins(tower: CyclotomicTower, components) -> List[Optional[Fraction]]
         v = tower.valuation_or_none(comp)
         margins.append(None if v is None else v - n)
     return margins
+
+
+def _refuse_vanishing_below(components, margins, floor) -> None:
+    """A component n that vanishes at its cap c has a margin of only >= c - n;
+    raise InsufficientPrecision where that bound lies below ``floor``, the
+    least margin that leaves the caller's answer unchanged."""
+    for n, (comp, m) in enumerate(zip(components, margins)):
+        if m is None and comp.cap - n < floor:
+            raise InsufficientPrecision(f"perp component {n} vanishes at its cap {comp.cap}")
 
 
 def w2_valuation(tower: CyclotomicTower, x: TowerElement) -> int:
@@ -147,11 +167,15 @@ def layered_sum_membership(tower: CyclotomicTower, x: TowerElement) -> Membershi
     Membership at slack c is equivalent to val(R_n_perp x) >= n - c for
     every n: the projectors map the candidate sum into exactly those bounds,
     and y_n = p^(-n) R_n_perp(x) exhibit the decomposition x = sum_n p^n y_n
-    whenever they are integral.
+    whenever they are integral.  A component that vanishes at its cap is
+    bounded as in `PerpSeries.decay_margin`; where that bound would need a
+    larger slack, InsufficientPrecision is raised.
     """
-    margins = perp_margins(tower, perp_series_decompose(tower, x).components)
+    components = perp_series_decompose(tower, x).components
+    margins = perp_margins(tower, components)
     finite = [m for m in margins if m is not None]
     needed = max(0, math.ceil(-min(finite))) if finite else 0
+    _refuse_vanishing_below(components, margins, -needed)
     return MembershipVerdict(needed, tuple(margins))
 
 

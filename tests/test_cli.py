@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclodiff
 from cyclodiff import harness
@@ -421,3 +425,87 @@ def test_a_ragged_element_is_read_at_its_least_cap(capsys, tmp_path):
     argv = ["w2", "--element-file", _write(tmp_path / "ragged.json", obj)]
     err = rejected(capsys, *argv, "--p", "3", "--levels", "1", "--prec", "6")
     assert err == "tower: all perp components vanish to working precision\n"
+
+
+def golden_series(name, *flags):
+    """The series of a golden report (or a golden series file), with the
+    flags of its tower."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", name), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    return obj.get("series", obj), list(flags)
+
+
+GOLDEN_SERIES = [
+    golden_series("series_invert_p2_l3_prec24.json", "--p", "2", "--levels", "3", "--prec", "24"),
+    golden_series("series_invert_p3_l3_prec24.json", "--p", "3", "--levels", "3", "--prec", "24"),
+    golden_series("series_invert_p5_l2_prec20.json", "--p", "5", "--levels", "2", "--prec", "20"),
+    golden_series("series_nonunit_p5_l2_prec20.json", "--p", "5", "--levels", "2", "--prec", "20"),
+]
+
+# values put in place of a field: huge, negative, float, bool, and the wrong type
+ODD_VALUES = [10**4000, 2**64, 4097, -1, -(10**9), 0.5, 1e300, True, False, None, "3", [], {}]
+
+
+def _slots(obj, path=()):
+    """The path to every value inside a JSON value, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def mutated_series(draw):
+    """(series, flags): a copy of a golden series with one to three mutations:
+    a value deleted or replaced by an odd one, or a term dropped, duplicated
+    or moved to another level."""
+    base, flags = draw(st.sampled_from(GOLDEN_SERIES))
+    series = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        terms = series.get("terms") if isinstance(series, dict) else None
+        kind = draw(st.sampled_from(["delete", "replace", "term"]))
+        if kind == "term" and isinstance(terms, list) and terms:
+            i = draw(st.integers(0, len(terms) - 1))
+            how = draw(st.sampled_from(["drop", "duplicate", "relevel"]))
+            if how == "drop":
+                del terms[i]
+            elif how == "duplicate":
+                terms.insert(i, copy.deepcopy(terms[i]))
+            elif isinstance(terms[i], dict):
+                terms[i]["n"] = draw(st.integers(-1, len(terms)))
+            continue
+        slots = list(_slots(series))
+        if not slots:
+            break
+        *head, key = draw(st.sampled_from(slots))
+        parent = series
+        for k in head:
+            parent = parent[k]
+        if kind == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(ODD_VALUES))
+    return series, flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_series(), st.sampled_from(["invert", "reconstruct"]))
+def test_a_mutated_series_file_exits_0_or_2(fuzz_dir, case, op):
+    # bad input is refused with exit 2 and one line on stderr, never raised
+    series, flags = case
+    path = fuzz_dir / "series.json"
+    path.write_text(json.dumps(series))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["series", "--op", op, "--series-file", str(path), *flags])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("tower: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["op"] == op

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclodiff.errors import InsufficientPrecision, ValuationOfZero
+from cyclodiff.padic import PadicScalar
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.completion import (
     PerpSeries,
@@ -17,7 +20,7 @@ from cyclodiff.completion import (
     series_reconstruct,
     w2_valuation,
 )
-from test_tower import SMALL
+from test_tower import SMALL, small_elements
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,84 @@ def test_series_reconstruct_exact(t3, t2):
             x = tower.random_integral(lev, random.Random(40 + lev))
             ps = perp_series_decompose(tower, x)
             assert (series_reconstruct(tower, ps) - x).is_all_bottom
+
+
+def flat_reconstruct(tower, series):
+    """The oracle for `series_reconstruct`: every component embedded into the
+    top field and added there, from the top field's zero at working precision."""
+    acc = tower.zero(series.level)
+    for comp in series.components:
+        acc = acc + tower.embed(comp, series.level)
+    return acc
+
+
+def assert_reconstructs_like_the_flat_sum(tower, series):
+    got, want = series_reconstruct(tower, series), flat_reconstruct(tower, series)
+    assert (got.level, got.cap, tower._pack(got)) == (want.level, want.cap, tower._pack(want))
+    assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_elements())
+def test_reconstruct_matches_the_flat_sum(case):
+    tower, x = case
+    assert_reconstructs_like_the_flat_sum(tower, perp_series_decompose(tower, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
+def test_reconstruct_matches_the_flat_sum_at_ragged_term_caps(p, seed, data):
+    # each term of a series read from JSON has its own cap, some below the
+    # working precision and some above it; a term may be zero at its cap
+    tower = SMALL[p]
+    level = data.draw(st.integers(0, tower.max_level))
+    rng = random.Random(seed)
+    terms = []
+    for n in range(level + 1):
+        comp = tower.perp_project(tower.random_integral(n, rng), n)
+        cap = data.draw(st.integers(1, tower.prec + 3))
+        if data.draw(st.booleans()):
+            comp = tower.zero(n)
+        coeffs = [
+            dict(c, prec=cap) if cap > tower.prec else PadicScalar.from_json(c).truncate(cap).to_json()
+            for c in comp.to_json()["coeffs"]
+        ]
+        terms.append({"n": n, "coeffs": coeffs})
+    series = perp_series_from_json(tower, {"level": level, "terms": terms})
+    assert_reconstructs_like_the_flat_sum(tower, series)
+
+
+def test_reconstruct_matches_the_flat_sum_on_the_golden_series_above_prec():
+    # the nonunit golden's terms have cap 21 on a tower of prec 20; cutting
+    # term 1 to cap 5 makes the caps ragged
+    tower = CyclotomicTower(TowerParams(p=5, s=1, max_level=2, prec=20))
+    obj = json.loads((Path(__file__).parent / "golden" / "series_nonunit_p5_l2_prec20.json").read_text())
+    series = perp_series_from_json(tower, obj)
+    assert [comp.cap for comp in series.components] == [21, 21, 21]
+    assert_reconstructs_like_the_flat_sum(tower, series)
+    cut = (series.components[0], tower.truncate(series.components[1], 5), series.components[2])
+    assert_reconstructs_like_the_flat_sum(tower, PerpSeries(2, cut))
+    assert series_reconstruct(tower, PerpSeries(2, cut)).cap == 5
+
+
+def test_reconstruct_matches_the_flat_sum_on_the_zero_series(t3):
+    for level in range(t3.max_level + 1):
+        series = perp_series_decompose(t3, t3.zero(level))
+        assert all(comp.is_all_bottom for comp in series.components)
+        assert_reconstructs_like_the_flat_sum(t3, series)
+        assert series_reconstruct(t3, series).is_all_bottom
+
+
+def test_reconstruct_adds_each_level_at_its_own_degree(monkeypatch):
+    # summed from the bottom level up, step n adds phi(n) coordinates:
+    # 4 + 20 + 100 scalar sums at p = 5, level 2, where the flat sum makes
+    # three sums in the top field, 300
+    tower = CyclotomicTower(TowerParams(p=5, s=1, max_level=2, prec=20))
+    series = perp_series_decompose(tower, tower.random_unit(2, random.Random(5)))
+    calls, add = [], PadicScalar.__add__
+    monkeypatch.setattr(PadicScalar, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    series_reconstruct(tower, series)
+    assert len(calls) == 4 + 20 + 100
 
 
 def test_series_invert_roundtrip(t3):
@@ -82,12 +163,10 @@ def test_a_component_that_vanishes_below_the_minimum_is_refused():
         perp_series_decompose(t, x).to_json()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
-def test_a_reported_decay_margin_holds_for_every_lift(p, seed, data):
-    # x is a sum of perp components, some absent and some scaled by p^k, cut
-    # to a cap below the working precision, so that some components vanish
-    # at the cap; y and y + p^cap z are lifts of x to the working precision
+def cut_sum_and_lifts(p, seed, data):
+    """(x, lifts): x is a sum of perp components, some absent and some scaled
+    by p^k, cut to a cap below the working precision, so that some components
+    vanish at the cap; the lifts y and y + p^cap z agree with x at that cap."""
     tower = SMALL[p]
     level = data.draw(st.integers(1, tower.max_level))
     rng = random.Random(seed)
@@ -99,15 +178,52 @@ def test_a_reported_decay_margin_holds_for_every_lift(p, seed, data):
             y = y + tower.embed(tower.scale_p(comp, k), level)
     cap = data.draw(st.integers(1, tower.prec - 1))
     x = tower.truncate(y, cap)
+    lifts = (y, y + tower.scale_p(tower.random_integral(level, rng), cap))
+    for lift in lifts:
+        assert tower.truncate(lift, cap).to_json() == x.to_json()
+    return x, lifts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
+def test_a_reported_decay_margin_holds_for_every_lift(p, seed, data):
+    tower = SMALL[p]
+    x, lifts = cut_sum_and_lifts(p, seed, data)
     try:
         margin = perp_series_decompose(tower, x).decay_margin()
     except InsufficientPrecision:
         return
     if margin is None:
         return
-    for lift in (y, y + tower.scale_p(tower.random_integral(level, rng), cap)):
-        assert tower.truncate(lift, cap).to_json() == x.to_json()
+    for lift in lifts:
         assert perp_series_decompose(tower, lift).decay_margin() == margin
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
+def test_a_reported_membership_slack_holds_for_every_lift(p, seed, data):
+    tower = SMALL[p]
+    x, lifts = cut_sum_and_lifts(p, seed, data)
+    try:
+        slack = layered_sum_membership(tower, x).slack_needed
+    except InsufficientPrecision:
+        return
+    for lift in lifts:
+        assert layered_sum_membership(tower, lift).slack_needed == slack
+
+
+def test_a_membership_that_a_vanishing_component_could_raise_is_refused():
+    """1 + O(3) at level 2 has a level-0 margin of 0, and its level-2
+    component vanishes at cap 1, so that margin is only known to be >= -1.
+    The lifts 1 + 3 zeta at caps 2, 3 and 6 cut to it and need slack 1."""
+    t = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=6))
+    x = t.from_int_coeffs(2, [1], 1)
+    for cap in (2, 3, 6):
+        lift = t.from_int_coeffs(2, [1, 3], cap)
+        assert t.truncate(lift, 1).to_json() == x.to_json()
+        assert layered_sum_membership(t, lift).slack_needed == 1
+    with pytest.raises(InsufficientPrecision):
+        layered_sum_membership(t, x)
 
 
 def test_component_valuations_shape(t3):
