@@ -27,7 +27,7 @@ from .completion import (
     w2_valuation,
 )
 from .constants import cell_rng, estimate_constants
-from .errors import DomainError, PadicError
+from .errors import DomainError, PadicError, brief
 from .harness import (
     CONSTANTS_SAMPLES,
     SUITE_NAMES,
@@ -114,7 +114,7 @@ def make_tower(args) -> CyclotomicTower:
             raise PadicError("config file must hold a JSON object")
         unknown = set(raw) - set(FLAG_KEYS.values())
         if unknown:
-            raise PadicError(f"unknown config keys: {sorted(unknown)}")
+            raise PadicError(f"unknown config keys: {brief(sorted(unknown))}")
         conf.update(raw)
     for flag, key in FLAG_KEYS.items():
         value = getattr(args, flag)

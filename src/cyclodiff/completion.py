@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import DomainError, InsufficientPrecision, ValuationOfZero
+from .errors import DomainError, InsufficientPrecision, ValuationOfZero, brief
 from .padic import check_json
 from .tower import CyclotomicTower, TowerElement
 
@@ -95,7 +95,8 @@ def perp_series_from_json(tower: CyclotomicTower, obj: dict) -> PerpSeries:
         if comp.level != n:
             raise DomainError("series terms must be indexed consecutively from 0")
     if len(comps) != obj["level"] + 1:
-        raise DomainError(f"a level {obj['level']} series needs {obj['level'] + 1} terms")
+        level = brief(obj["level"])
+        raise DomainError(f"a level {level} series needs one term per level, got {len(comps)}")
     series = PerpSeries(obj["level"], tuple(comps))
     if not series.certify_perpendicular():
         raise DomainError("series term n >= 1 has a nonzero trace to level n - 1")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import DomainError, InsufficientPrecision
+from .errors import DomainError, InsufficientPrecision, brief
 from .tower import CyclotomicTower
 from .differentials import different, differential, echelon, kernel_lattice, level_transition_factor
 
@@ -261,7 +261,7 @@ def estimate_constants(
     tower: CyclotomicTower, seed: int = 0, samples: int = 1000
 ) -> ConstantsReport:
     if samples < 0:
-        raise DomainError(f"the sample count must not be negative, got {samples}")
+        raise DomainError(f"the sample count must not be negative, got {brief(samples)}")
     a, b, drifts = different_drift(tower)
 
     cells = norm_cells(tower)

@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import DomainError
-from .padic import PadicScalar, pack_profile, vp
+from .errors import DomainError, InsufficientPrecision
+from .padic import PadicScalar, pack, vp
 from .tower import CyclotomicTower, TowerElement
 
 BASES = ("K0", "Qp")
@@ -59,7 +59,9 @@ class OmegaClass:
     """A class in Omega = O_{K_level}/(p-part of the different) * d(rho).
 
     `rep` is the coefficient of d(rho_level); two classes agree when the
-    difference of reps has valuation >= modulus_val.
+    difference of reps has valuation >= modulus_val.  A rep that vanishes at
+    a cap below modulus_val decides nothing: its lifts may lie in either
+    class, so `is_zero` raises InsufficientPrecision there.
     """
 
     level: int
@@ -74,6 +76,8 @@ class OmegaClass:
 
     def is_zero(self) -> bool:
         v = self.rep.tower.valuation_or_none(self.rep)
+        if v is None and self.rep.cap < self.modulus_val:
+            raise InsufficientPrecision(f"the rep vanishes at cap {self.rep.cap} < the modulus")
         return v is None or v >= self.modulus_val
 
 
@@ -209,7 +213,7 @@ class LatticeBasis:
     exactly and its row eliminated from all later columns).
 
     A thin wrapper of `echelon`: the generators are lifted to integers with
-    one shift and one cap for the whole matrix (`pack_profile`), and the
+    one shift and one cap for the whole matrix (`pack`), and the
     pivot columns come back as scalars known to that cap.
     """
 
@@ -228,11 +232,9 @@ class LatticeBasis:
         entries = [e for col in generators for e in col]
         if not entries:
             return cls(p, dim, [], [])
-        shift, digits = pack_profile(entries)
+        shift, digits, ints = pack(entries)
         cap = shift + digits
-        reduced, pivots = echelon(
-            p, [[e.rep_mod(digits, shift) for e in col] for col in generators], digits
-        )
+        reduced, pivots = echelon(p, [ints[i : i + dim] for i in range(0, len(ints), dim)], digits)
         columns = [[PadicScalar.raw(p, shift, e, cap) for e in col] for col in reduced]
         return cls(p, dim, columns, [(r, v + shift) for r, v in pivots])
 

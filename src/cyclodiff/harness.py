@@ -45,7 +45,7 @@ from .differentials import (
     layer_sum_columns,
     random_kernel_element,
 )
-from .errors import DomainError
+from .errors import DomainError, brief
 from .padic import vp
 from .reportio import envelope
 from .tower import CyclotomicTower
@@ -567,7 +567,7 @@ SUITE_NAMES = tuple(SUITES)
 def check_sample_count(samples: Optional[int]) -> None:
     """A suite sample count is None (each suite's default) or positive."""
     if samples is not None and samples < 1:
-        raise DomainError(f"a suite needs a positive sample count, got {samples}")
+        raise DomainError(f"a suite needs a positive sample count, got {brief(samples)}")
 
 
 def suite_passed(assertions: List[dict]) -> bool:

@@ -55,20 +55,16 @@ def check_json(obj, what: str, **fields) -> None:
             raise DomainError(f"{what} key {key!r} has the wrong type")
 
 
-def pack_profile(scalars):
-    """(shift, digits): every scalar is p^shift * (rep + O(p^digits)).
-
-    One shift (the least valuation, a bottom counting at its cap) and one cap
-    (the least prec) for the whole batch, so the batch can be handled as
-    plain integers ``rep_mod(digits, shift)``.  The batch must be nonempty.
-    """
-    shift = None
-    cap = None
-    for c in scalars:
-        v = c.prec if c.val is None else c.val
-        shift = v if shift is None else min(shift, v)
-        cap = c.prec if cap is None else min(cap, c.prec)
-    return shift, cap - shift
+def pack(scalars):
+    """(shift, digits, ints), scalar j being p^shift * (ints[j] + O(p^digits)):
+    the one place a sequence of scalars becomes a packed triple.  One shift
+    (the least valuation, a bottom counting at its cap) and one cap (the least
+    prec, so ragged caps are read at the least one) for the whole batch, and
+    ints[j] = ``rep_mod(digits, shift)``: digits = 0 (zero at cap shift) or
+    some int is prime to p.  No scalars pack to (0, 0, [])."""
+    shift = min((c.prec if c.val is None else c.val for c in scalars), default=0)
+    digits = min((c.prec for c in scalars), default=shift) - shift
+    return shift, digits, [c.rep_mod(digits, shift) for c in scalars]
 
 
 class PadicScalar:

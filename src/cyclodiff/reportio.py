@@ -25,7 +25,8 @@ from .tower import CyclotomicTower, TowerParams
 
 def jsonable(obj):
     """Recursively convert to JSON-safe values: Fractions become 'a/b'
-    strings, tuples become lists."""
+    strings, tuples become lists.  Any other type (a float, an element, a
+    dataclass) has no exact JSON form, so DomainError is raised."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
@@ -34,9 +35,7 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        raise DomainError("reports are exact: refusing to serialize a float")
-    return str(obj)
+    raise DomainError(f"reports are exact: refusing to serialize a {type(obj).__name__}")
 
 
 def envelope(

@@ -39,7 +39,7 @@ chain rule on zeta-coordinates, one pass over the ints.
 Every element has one cap.  Products, powers, conjugates, traces and norms
 run on one packed form, the triple (shift, digits, ints): every coordinate is
 p^shift (ints[j] + O(p^digits)), with the least valuation and the cap over the
-coordinates (`pack_profile`); digits = 0 is zero at cap shift.  One kernel,
+coordinates (`padic.pack`); digits = 0 is zero at cap shift.  One kernel,
 `_product`, multiplies two triples as one big integer product (Kronecker
 substitution) in slots of w bytes, w the size of phi max(xa) max(xb): the
 ints the operands hold bound every slot, where their caps would overstate it
@@ -52,7 +52,7 @@ of at 2^(8w bits) (Harvey's KS2): two products of half the size in place of
 one.  Either way the slots are exact.  It folds the slots and normalises: it
 reduces mod p^digits and moves the common power of p into the shift, so its
 output is exactly the packed form of the product.  `mul` is one kernel call
-between `_pack` and `_unpack` (a rational or a scalar enters as its
+between two triples and `_unpack` (a rational or a scalar enters as its
 `constant`, and an int only scales the ints); `power` and `norm_down` chain
 kernel calls on triples; `galois_apply`, `trace_down` and `norm_down` share
 one Galois loop on the ints, `_act`, a gather through a cached index map.
@@ -62,15 +62,14 @@ sum_j a_j zeta^(j p^k), one re-index and one `fold`.  Units are closed under
 products, so the triple is square-and-multiply's and the conjugate product's;
 a non-unit can be nilpotent mod p, where the caps differ.
 
-A `TowerElement` holds its coordinates, its triple, or both, and builds the
-missing view on first use; coordinates with different caps (JSON input)
-are read at their least cap when the element is built, and only the triple
-is kept.  `add` alone works on the coordinates; `-`, and so `==`, is
-`_combine`, the packed sum at the lesser cap.  Every other op reads and
-returns the triple, normalised by `_normalise` (digits = 0 or some int is
-prime to p): `embed` spreads the ints with stride p^k, `scale_p` moves the
-shift, the projectors gather every p^k-th int, and `coeffs` builds the
-`PadicScalar`s on first read, so a chain of packed ops builds none.  The
+A `TowerElement` is its triple: scalars given to it (JSON input, `add`) are
+packed when it is built, by `padic.pack`, at their least cap.  `add` alone
+sums coordinates, and packs its sum; `-`, and so `==`, is `_combine`, the
+packed sum at the lesser cap.  Every other op reads and returns the triple,
+normalised by `_normalise` (digits = 0 or some int is prime to p): `embed`
+spreads the ints with stride p^k, `scale_p` moves the shift, the projectors
+gather every p^k-th int, and `coeffs` builds the `PadicScalar`s on first
+read, so a chain of packed ops builds none.  The
 random elements draw their ints by `_draws`, randrange's own loop.
 
 Inversion strips x = p^a rho^r u down to the unit u, each power of p a move of
@@ -103,8 +102,9 @@ from .errors import (
     InsufficientPrecision,
     PadicError,
     ValuationOfZero,
+    brief,
 )
-from .padic import CAP, PadicScalar, check_json, pack_profile, vp
+from .padic import CAP, PadicScalar, check_json, pack, vp
 
 KS2_BYTES = 1024  # operand bytes phi w from which `_product` runs `_ks2`
 
@@ -207,7 +207,7 @@ class TowerParams:
         for name in ("p", "s", "max_level", "prec"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{name} must be an int, got {value!r}")
+                raise DomainError(f"{name} must be an int, got {brief(value)}")
         if self.p < 2:
             raise DomainError("p must be a prime")
         if self.max_level < 1:
@@ -243,24 +243,22 @@ class GaloisElement:
 
 
 class TowerElement:
-    """An element of K_level with one cap: its coordinates, its packed triple
-    (shift, digits, ints), or both; a view is built from the other on first
-    use (`coeffs` here, `CyclotomicTower._pack` for the triple).  Coordinates
-    with different caps are read at the least one and keep only the triple."""
+    """An element of K_level with one cap, held as its packed triple (shift,
+    digits, ints): every coordinate is p^shift (ints[j] + O(p^digits)), and
+    digits = 0 is zero at cap shift.  Scalars given to the constructor are
+    packed by `pack`, at their least cap; `coeffs` is the scalar view, built
+    on first read.  Callers must not mutate the ints."""
 
     __slots__ = ("tower", "level", "_coeffs", "_packed")
 
     def __init__(self, tower: "CyclotomicTower", level: int, coeffs=None, packed=None):
         self.tower = tower
         self.level = level
-        self._coeffs = None if coeffs is None else tuple(coeffs)
-        self._packed = packed
-        n = len(self._coeffs if packed is None else packed[2])
+        self._coeffs = None
+        self._packed = pack(tuple(coeffs)) if packed is None else packed
+        n = len(self._packed[2])
         if n != tower.phi(level):
             raise DomainError(f"level {level} needs {tower.phi(level)} coordinates, got {n}")
-        if packed is None and len({c.prec for c in self._coeffs}) > 1:
-            tower._pack(self)
-            self._coeffs = None
 
     @property
     def coeffs(self) -> tuple:
@@ -273,12 +271,12 @@ class TowerElement:
 
     @property
     def is_all_bottom(self) -> bool:
-        return not self.tower._pack(self)[1]
+        return not self._packed[1]
 
     @property
     def cap(self) -> int:
         """The absolute precision of every coordinate."""
-        shift, digits, _ = self.tower._pack(self)
+        shift, digits, _ = self._packed
         return shift + digits
 
     # ring ops go through the tower so caches are shared ------------------
@@ -289,7 +287,7 @@ class TowerElement:
     __radd__ = __add__
 
     def __neg__(self):
-        tower, (shift, digits, ints) = self.tower, self.tower._pack(self)
+        tower, (shift, digits, ints) = self.tower, self._packed
         mod = tower.p ** digits
         return tower._unpack(self.level, (shift, digits, [-a % mod for a in ints]))
 
@@ -345,7 +343,7 @@ class CyclotomicTower:
 
     def _check_level(self, level: int):
         if not 0 <= level <= self.max_level:
-            raise DomainError(f"level {level} outside tower (max {self.max_level})")
+            raise DomainError(f"level {brief(level)} outside tower (max {self.max_level})")
 
     def q(self, level: int) -> int:
         return self.p ** (level + self.s)
@@ -417,9 +415,8 @@ class CyclotomicTower:
             value = PadicScalar.from_fraction(self.p, value, self.prec if prec is None else prec)
         elif value.p != self.p:
             raise DomainError("scalar prime differs from tower prime")
-        shift = value.prec if value.is_bottom else value.val
-        ints = [value.unit] + [0] * (self.phi(level) - 1)
-        return self._unpack(level, (shift, value.prec - shift, ints))
+        shift, digits, ints = pack([value])
+        return self._unpack(level, (shift, digits, ints + [0] * (self.phi(level) - 1)))
 
     def zeta(self, level: int, exponent: int = 1) -> TowerElement:
         self._check_level(level)
@@ -465,6 +462,7 @@ class CyclotomicTower:
         for c in obj["coeffs"]:
             p = c.get("p") if isinstance(c, dict) else None
             if type(p) is int and p != self.p:
+                p = brief(p)
                 raise DomainError(f"element json has a {p}-adic scalar in a {self.p}-adic tower")
         return TowerElement(self, level, [PadicScalar.from_json(c) for c in obj["coeffs"]])
 
@@ -485,22 +483,9 @@ class CyclotomicTower:
     def add(self, x: TowerElement, y) -> TowerElement:
         x, y = self._operands(x, y)
         # per coordinate until ROADMAP item 1: packed, it zeroes series-p5's padic rows
-        return TowerElement(
-            self, x.level, [a + b for a, b in zip(x.coeffs, y.coeffs)]
-        )
+        return TowerElement(self, x.level, map(add, x.coeffs, y.coeffs))
 
     # -- the packed form and multiplication (Kronecker substitution) ----------
-
-    def _pack(self, x: TowerElement):
-        """x as (shift, digits, ints): every coordinate is p^shift * (ints[j] +
-        O(p^digits)), from `pack_profile`'s least valuation and the cap.
-        digits == 0 means zero at cap shift.  Computed once and cached on x;
-        callers must not mutate the ints."""
-        if x._packed is None:
-            shift, digits = pack_profile(x.coeffs)
-            ints = [c.rep_mod(digits, shift) for c in x.coeffs] if digits else [0] * len(x.coeffs)
-            x._packed = shift, digits, ints
-        return x._packed
 
     def _unpack(self, level: int, packed) -> TowerElement:
         """The element holding only ``packed``, which must be normalised."""
@@ -508,7 +493,7 @@ class CyclotomicTower:
 
     def _normalise(self, shift: int, digits: int, acc):
         """(shift, digits, acc) with acc reduced mod p^digits and the common
-        power of p moved into the shift: `_pack` of the unpacked element."""
+        power of p moved into the shift: `pack` of the unpacked coordinates."""
         if digits <= 0:
             return shift + digits, 0, [0] * len(acc)  # nothing survives the cap
         mod = self.p ** digits
@@ -548,11 +533,11 @@ class CyclotomicTower:
         its `constant` (anything else is refused there), and `_product`'s cap
         min(cap_x + val_c, shift_x + prec_c) is the scalar rule."""
         if isinstance(y, int):
-            shift, digits, ints = self._pack(x)
+            shift, digits, ints = x._packed
             t = vp(y, self.p) if y else 0
             return self._unpack(x.level, self._normalise(shift, digits + t, [a * y for a in ints]))
         x, y = self._operands(x, y)
-        return self._unpack(x.level, self._product(x.level, self._pack(x), self._pack(y)))
+        return self._unpack(x.level, self._product(x.level, x._packed, y._packed))
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
         """x^n by square-and-multiply on the packed form of x, after
@@ -564,7 +549,7 @@ class CyclotomicTower:
         if n == 1:
             return x
         out = None
-        acc = self._pack(x)
+        acc = x._packed
         if n % self.p == 0 and self._unit_at_one_digit(acc):
             pk = self.p ** vp(n, self.p)
             acc, n = self._frobenius(x.level, acc[2], pk), n // pk
@@ -601,7 +586,7 @@ class CyclotomicTower:
             return x
         if x.level > level:
             raise DomainError(f"cannot embed level {x.level} into lower level {level}")
-        shift, digits, ints = self._pack(x)
+        shift, digits, ints = x._packed
         spread = [0] * self.phi(level)
         spread[:: self.p ** (level - x.level)] = ints
         return self._unpack(level, (shift, digits, spread))
@@ -640,7 +625,7 @@ class CyclotomicTower:
         """g(x) on the triple of x."""
         if g.level != x.level:
             raise DomainError("automorphism level does not match element level")
-        return self._unpack(x.level, self._act(x.level, g.unit, self._pack(x)))
+        return self._unpack(x.level, self._act(x.level, g.unit, x._packed))
 
     def relative_galois(self, level: int):
         """The p automorphisms of K_level fixing K_(level-1)."""
@@ -658,7 +643,7 @@ class CyclotomicTower:
             raise DomainError(f"{what} target above element level")
         if x.level == level:
             return x
-        packed = self._pack(x)
+        packed = x._packed
         for top in range(x.level, level, -1):
             conjugates = [self._act(top, g.unit, packed) for g in self.relative_galois(top)]
             shift, digits, ints = combine(top, conjugates)
@@ -690,9 +675,9 @@ class CyclotomicTower:
         `_frobenius`'s cut with stride p^k (the re-index lands on exponents that
         p^k divides, and so does h).  A non-unit can vanish mod p at another cap."""
         self._check_level(level)
-        if level < x.level and self._unit_at_one_digit(self._pack(x)):
+        if level < x.level and self._unit_at_one_digit(x._packed):
             pk = self.p ** (x.level - level)
-            shift, digits, ints = self._frobenius(x.level, self._pack(x)[2], pk)
+            shift, digits, ints = self._frobenius(x.level, x._packed[2], pk)
             return self._unpack(level, (shift, digits, ints[::pk]))
         return self._fold_conjugates(
             x, level, lambda top, cs: reduce(partial(self._product, top), cs), "norm"
@@ -708,8 +693,8 @@ class CyclotomicTower:
         """x + sign y on the triples of two elements of one level: the ints
         are aligned to the lesser shift and summed at the lesser cap, the cap
         `add` reaches per coordinate.  `-`, `==` and Newton's steps run on it."""
-        sx, dx, xs = self._pack(x)
-        sy, dy, ys = self._pack(y)
+        sx, dx, xs = x._packed
+        sy, dy, ys = y._packed
         shift = min(sx, sy)
         kx, ky = self.p ** (sx - shift), sign * self.p ** (sy - shift)
         out = [a * kx + b * ky for a, b in zip(xs, ys)]
@@ -738,7 +723,7 @@ class CyclotomicTower:
         self._check_level(level)
         if level >= x.level:
             x = self.embed(x, level)
-        shift, digits, ints = self._pack(x)
+        shift, digits, ints = x._packed
         ints = ints[:: self.p ** (x.level - level)]
         if perp:
             ints = [a if j % self.p else 0 for j, a in enumerate(ints)]
@@ -770,7 +755,7 @@ class CyclotomicTower:
 
     def rho_power_coords(self, x: TowerElement):
         """Q_p coordinates of x in the basis 1, rho, ..., rho^(phi-1)."""
-        sx, dx, ints = self._pack(x)
+        sx, dx, ints = x._packed
         if not dx:
             return [PadicScalar.bottom(self.p, sx)] * self.phi(x.level)
         return [PadicScalar.raw(self.p, sx, c, sx + dx) for c in self._rho_digits(ints, dx)]
@@ -800,7 +785,7 @@ class CyclotomicTower:
         k < m, so f becomes the classes, of the same multiplicity, and m drops
         to m/p.  A unit costs one sum.
         """
-        sx, dx, ints = self._pack(x)
+        sx, dx, ints = x._packed
         if not dx:
             raise ValuationOfZero("element is zero at working precision")
         p, phi = self.p, len(ints)
@@ -830,7 +815,7 @@ class CyclotomicTower:
         zeta^period constant (d = p^n over K_0, where zeta^d = zeta_0; phi
         over Q_p), in one pass over the triple; no index reaches phi.  The cap
         is min(x.cap, prec); at period 1 every term is zero, at cap prec."""
-        shift, digits, ints = self._pack(x)
+        shift, digits, ints = x._packed
         acc = [self.rho_sign * (j % period) * ints[j] for j in range(1, len(ints))] + [0]
         cap = self.prec if period == 1 else min(shift + digits, self.prec)
         return self._unpack(x.level, self._normalise(shift, cap - shift, acc))
@@ -875,7 +860,7 @@ class CyclotomicTower:
             return (x,)
         d = self.degree(level)
         gp_inv, rows = self._dual_data(level)
-        sy, dy, ints = self._pack(self.mul(x, gp_inv))
+        sy, dy, ints = self.mul(x, gp_inv)._packed
         gathers = [ints[::d]]
         for _ in range(d - 1):
             zy = self.fold(level, [0, *ints])
@@ -901,7 +886,7 @@ class CyclotomicTower:
             raise DomainError("rho expansion coefficients must lie in K_0")
         if level == 0:
             return coeffs[0]
-        packs = [self._pack(c) for c in coeffs]
+        packs = [c._packed for c in coeffs]
         shift = min(sc for sc, _, _ in packs)
         digits = min(sc + dc for sc, dc, _ in packs) - shift
         if not digits:
@@ -922,12 +907,12 @@ class CyclotomicTower:
             return x
         if digits > x.cap:
             raise InsufficientPrecision(f"cannot raise cap {x.cap} to {digits}")
-        shift, _, ints = self._pack(x)
+        shift, _, ints = x._packed
         return self._unpack(x.level, self._normalise(shift, digits - shift, ints))
 
     def scale_p(self, x: TowerElement, k: int) -> TowerElement:
         """x p^k, exactly: the triple's shift moves by k."""
-        shift, digits, ints = self._pack(x)
+        shift, digits, ints = x._packed
         return self._unpack(x.level, (shift + k, digits, ints))
 
     def invert(self, x: TowerElement) -> TowerElement:
@@ -943,7 +928,7 @@ class CyclotomicTower:
         a, r = divmod(int(t * e), e)
         if r == 0:
             return self.scale_p(self._invert_unit(self.scale_p(x, -a)), -a)
-        rho = self.rho_power(x.level, e - r, self._pack(x)[1] + 2)
+        rho = self.rho_power(x.level, e - r, x._packed[1] + 2)
         z = self.scale_p(self.mul(x, rho), -(a + 1))
         if z.cap < 1:
             # val(x) lies within one digit of the cap: x rho^(e-r) is zero mod
@@ -976,7 +961,7 @@ class CyclotomicTower:
         the first one the formula mod p; at cap 1 one product checks it.
         """
         p, level = self.p, z.level
-        shift, digits, ints = self._pack(z)
+        shift, digits, ints = z._packed
         if shift < 0 and digits:
             raise DomainError("unit inversion got a non-integral element")
         res = sum(ints) % p if shift == 0 else 0  # zeta = 1 mod rho
@@ -984,7 +969,7 @@ class CyclotomicTower:
             raise DomainError("unit inversion got an element of positive valuation")
         cap = z.cap
         e1 = [1] + [0] * (len(ints) - 1)
-        v = a = self._pack(self.power(self.truncate(z, 1), p - 1))
+        v = a = self.power(self.truncate(z, 1), p - 1)._packed
         k = 1
         for bit in bin(level + self.s)[3:]:
             a, k = self._product(level, a, self._frobenius(level, a[2], p ** k)), 2 * k
@@ -999,10 +984,10 @@ class CyclotomicTower:
         d = 1
         while d < cap:
             new = min(2 * d, cap)
-            sy, _, ys = self._pack(y)  # y mod p^d, read at cap new
+            sy, _, ys = y._packed  # y mod p^d, read at cap new
             y, z_d = self._unpack(level, (sy, new - sy, ys)), self.truncate(z, new)
             err = self._combine(self._unpack(level, (0, new, e1)), self.mul(z_d, y), -1)
-            if self._pack(err)[0] < d:
+            if err._packed[0] < d:
                 raise InsufficientPrecision(
                     f"Newton residual is not zero mod p^{d} on the way to p^{new}"
                 )

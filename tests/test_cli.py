@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -163,6 +164,13 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
         ({"p": "3"}, "p must be an int, got '3'"),
         ({"max_level": 2.5}, "max_level must be an int, got 2.5"),
         ([1], "config file must hold a JSON object"),
+        # a long bad value is named briefly, not echoed whole
+        ({"p": "x" * 5000}, "p must be an int, got <str 'xxxxxxxxxxxxxxxxxxx...>"),
+        ({"x" * 5000: 1}, "unknown config keys: <list ['xxxxxxxxxxxxxxxxxx...>"),
+        (
+            {"max_level": [[0] * 100] * 50},
+            "max_level must be an int, got <list [[0, 0, 0, 0, 0, 0, ...>",
+        ),
     ],
 )
 def test_bad_config_file_exits_2(capsys, tmp_path, config, message):
@@ -364,7 +372,33 @@ def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
     start = time.perf_counter()
     err = rejected(capsys, "w2", "--element-file", element_file, *FAST)
     assert time.perf_counter() - start < 1.0
-    assert f"{10**600}-adic scalar in a 3-adic tower" in err
+    assert "<int of 601 digits>-adic scalar in a 3-adic tower" in err
+
+
+def _huge_p_element():
+    obj = CyclotomicTower(TowerParams(3, 1, 2, 16)).from_int_coeffs(1, [1, 2, 3]).to_json()
+    obj["coeffs"][0]["p"] = 10**4000
+    return obj
+
+
+def _huge_level_element():
+    return dict(CyclotomicTower(TowerParams(3, 1, 2, 16)).one(1).to_json(), level=10**4000)
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["w2", "--element-file"], _huge_p_element()),
+        (["decompose", "--element-file"], _huge_level_element()),
+        (["series", "--op", "invert", "--series-file"], {"level": 10**4000, "terms": []}),
+    ],
+    ids=["scalar-p", "element-level", "series-level"],
+)
+def test_a_refusal_names_a_huge_value_briefly(capsys, tmp_path, argv, data):
+    # the value is named by its digit count, not echoed whole
+    err = rejected(capsys, *argv, _write(tmp_path / "bad.json", data), *FAST)
+    assert err.startswith("tower: ") and err.count("\n") == 1 and len(err) <= 200
+    assert "<int of 4001 digits>" in err
 
 
 @pytest.mark.parametrize(
@@ -377,6 +411,10 @@ def test_element_file_over_another_prime_exits_2(capsys, tmp_path):
         ),
         (["verify", "rhoval", "--samples", "-1"], "a suite needs a positive sample count, got -1"),
         (["verify", "all", "--samples", "0"], "a suite needs a positive sample count, got 0"),
+        (
+            ["constants", "--samples", str(-(10**4000))],
+            "the sample count must not be negative, got <int of 4001 digits>",
+        ),
     ],
 )
 def test_bad_sample_count_exits_2(capsys, argv, message):
@@ -454,6 +492,23 @@ def _slots(obj, path=()):
         yield from _slots(value, path + (key,))
 
 
+def _mutate_value(draw, obj, kind, values=ODD_VALUES) -> bool:
+    """Delete (``kind`` "delete") or replace by one of ``values`` one value
+    inside obj; False when obj holds none."""
+    slots = list(_slots(obj))
+    if not slots:
+        return False
+    *head, key = draw(st.sampled_from(slots))
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    if kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(values)))
+    return True
+
+
 @st.composite
 def mutated_series(draw):
     """(series, flags): a copy of a golden series with one to three mutations:
@@ -473,24 +528,28 @@ def mutated_series(draw):
                 terms.insert(i, copy.deepcopy(terms[i]))
             elif isinstance(terms[i], dict):
                 terms[i]["n"] = draw(st.integers(-1, len(terms)))
-            continue
-        slots = list(_slots(series))
-        if not slots:
+        elif not _mutate_value(draw, series, kind):
             break
-        *head, key = draw(st.sampled_from(slots))
-        parent = series
-        for k in head:
-            parent = parent[k]
-        if kind == "delete":
-            del parent[key]
-        else:
-            parent[key] = draw(st.sampled_from(ODD_VALUES))
     return series, flags
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+def exits_0_or_2(argv):
+    """Run the CLI in process: it must return 0 with a report on stdout, or 2
+    with one short ``tower: `` line on stderr; the report, or None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2)
+    if rc == 0:
+        return json.loads(out.getvalue())
+    assert out.getvalue() == "" and err.getvalue().startswith("tower: ")
+    assert err.getvalue().count("\n") == 1 and len(err.getvalue()) <= 200
+    return None
 
 
 @settings(max_examples=60, deadline=None)
@@ -500,12 +559,71 @@ def test_a_mutated_series_file_exits_0_or_2(fuzz_dir, case, op):
     series, flags = case
     path = fuzz_dir / "series.json"
     path.write_text(json.dumps(series))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["series", "--op", op, "--series-file", str(path), *flags])
-    assert rc in (0, 2)
-    if rc == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("tower: ")
-        assert err.getvalue().count("\n") == 1
-    else:
-        assert json.loads(out.getvalue())["op"] == op
+    report = exits_0_or_2(["series", "--op", op, "--series-file", str(path), *flags])
+    assert report is None or report["op"] == op
+
+
+P2 = ["--p", "2", "--levels", "2", "--prec", "12"]
+
+
+def element_files():
+    """(element json, flags): a random element at every level of the FAST and
+    P2 towers, as `to_json` writes it, times p^2, and with ragged caps
+    (coordinate j cut to 2 + 3j digits)."""
+    out = []
+    for flags, tower in ((FAST, CyclotomicTower(TowerParams(3, 1, 2, 16))),
+                         (P2, CyclotomicTower(TowerParams(2, 2, 2, 12)))):
+        rng = random.Random(7)
+        for level in range(3):
+            x = tower.random_integral(level, rng)
+            ragged = [c.truncate(min(c.prec, 2 + 3 * j)) for j, c in enumerate(x.coeffs)]
+            out += [(x.to_json(), flags), (tower.scale_p(x, 2).to_json(), flags),
+                    ({"level": level, "coeffs": [c.to_json() for c in ragged]}, flags)]
+    return out
+
+
+ELEMENT_FILES = element_files()
+CONFIGS = [({"p": 3, "s": 1, "max_level": 2, "prec": 16}, []),
+           ({"p": 2, "s": 2, "max_level": 3, "prec": 12}, [])]
+NESTED = [[[3]], [{"p": 3}], {"p": {"p": 3}}]
+
+
+@st.composite
+def mutated_file(draw, bases):
+    """(obj, flags): a copy of one of ``bases`` with one to three mutations: a
+    value deleted or replaced by an odd or nested one, or a coordinate dropped
+    or duplicated (the wrong count)."""
+    base, flags = draw(st.sampled_from(bases))
+    obj = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+        kind = draw(st.sampled_from(["delete", "replace", "count"]))
+        if kind == "count" and isinstance(coeffs, list) and coeffs:
+            i = draw(st.integers(0, len(coeffs) - 1))
+            if draw(st.booleans()):
+                del coeffs[i]
+            else:
+                coeffs.insert(i, copy.deepcopy(coeffs[i]))
+        elif not _mutate_value(draw, obj, kind, ODD_VALUES + NESTED):
+            break
+    return obj, flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_file(ELEMENT_FILES), st.sampled_from(["decompose", "w2"]))
+def test_a_mutated_element_file_exits_0_or_2(fuzz_dir, case, command):
+    obj, flags = case
+    path = fuzz_dir / "element.json"
+    path.write_text(json.dumps(obj))
+    report = exits_0_or_2([command, "--element-file", str(path), *flags])
+    assert report is None or report["kind"] == ("perp-series" if command == "decompose" else "w2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_file(CONFIGS))
+def test_a_mutated_config_file_exits_0_or_2(fuzz_dir, case):
+    obj, flags = case
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(obj))
+    report = exits_0_or_2(["build", "--config", str(path), *flags])
+    assert report is None or report["kind"] == "tower"

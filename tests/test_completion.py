@@ -59,7 +59,7 @@ def flat_reconstruct(tower, series):
 
 def assert_reconstructs_like_the_flat_sum(tower, series):
     got, want = series_reconstruct(tower, series), flat_reconstruct(tower, series)
-    assert (got.level, got.cap, tower._pack(got)) == (want.level, want.cap, tower._pack(want))
+    assert (got.level, got.cap, got._packed) == (want.level, want.cap, want._packed)
     assert got.to_json() == want.to_json()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclodiff.constants import galois_defect_cell
-from cyclodiff.errors import DomainError
+from cyclodiff.errors import DomainError, InsufficientPrecision
 from cyclodiff.padic import PadicScalar, vp
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.differentials import (
@@ -175,6 +175,23 @@ def test_omega_class_modularity(t3):
     assert a.same_class(b)
     c = OmegaClass(1, "K0", rep + t3.uniformizer(1), Fraction(1))
     assert not a.same_class(c)
+
+
+def test_a_rep_that_vanishes_below_the_modulus_is_refused():
+    """1 + O(3) at level 2 has a dx/d(rho) that vanishes at cap 1, below the
+    K_0 modulus 2, so its class is not known: the lift 1 + 3 zeta, which cuts
+    to it, has a rep of valuation 1 and is not zero."""
+    t = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=6))
+    cut = differential(t, t.from_int_coeffs(2, [1, 3], 1))
+    assert cut.rep.is_all_bottom and cut.rep.cap == 1 < cut.modulus_val == 2
+    with pytest.raises(InsufficientPrecision):
+        cut.is_zero()
+    with pytest.raises(InsufficientPrecision):
+        cut.same_class(cut)
+    assert not differential(t, t.from_int_coeffs(2, [1, 3], 6)).is_zero()
+    # at a cap of at least the modulus a vanishing rep is zero in the class
+    assert differential(t, t.from_int_coeffs(2, [1, 3], 2)).rep.cap == 2
+    assert differential(t, t.from_int_coeffs(2, [1], 2)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +719,11 @@ def test_flat_decompose_matches_the_product_loops(p, seed, kind, data):
         x = tower.truncate(x, data.draw(st.integers(1, tower.prec - 1)))
     elif kind == "p-scaled":
         x = tower.scale_p(x, data.draw(st.integers(1, 3)))
+    if x.cap < level:
+        # dx vanishes at a cap below the K_0 modulus: x is not known to lie in ker d
+        with pytest.raises(InsufficientPrecision):
+            flat_decompose(tower, x, n1)
+        return
     dec = flat_decompose(tower, x, n1)
     parts, tail = flat_decompose_oracle(tower, x, n1)
     # the loops skip a coefficient that is zero at its cap, the transform

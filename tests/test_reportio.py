@@ -36,6 +36,17 @@ def test_jsonable_passthrough_and_float_rejection():
         jsonable({"bad": 0.5})
 
 
+def test_jsonable_refuses_what_it_cannot_write_exactly(tower):
+    # an element, a scalar, a set or a dataclass has no exact JSON form: its
+    # str would land in the report, so it is refused like a float
+    x = tower.one(1)
+    for bad in (x, x.coeffs[0], {1, 2}, TowerParams(3, 1, 1), b"3", 1j):
+        with pytest.raises(DomainError, match="refusing to serialize"):
+            jsonable({"ok": [1, "2", None], "bad": [bad]})
+    with pytest.raises(DomainError):
+        canonical_dumps(envelope(tower, "w2", 0, {"w2": x}))
+
+
 def test_canonical_dumps_is_order_insensitive():
     a = canonical_dumps({"b": 1, "a": (Fraction(1, 2),)})
     b = canonical_dumps({"a": [Fraction(1, 2)], "b": 1})

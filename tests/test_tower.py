@@ -108,7 +108,7 @@ def test_a_float_is_not_a_constant():
     # Fraction(0.1) is 3602879701896397/2^55, not 1/10: a float is refused
     tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=6))
     one = tower.one(0)
-    assert tower._pack(one + Fraction(1, 10)) == (0, 6, [74, 0])  # 11/10 mod 3^6
+    assert (one + Fraction(1, 10))._packed == (0, 6, [74, 0])  # 11/10 mod 3^6
     refused = (
         lambda: one + 0.1, lambda: one * 1.5, lambda: one == 1.0, lambda: tower.constant(0, 0.5),
         lambda: one - 0.1, lambda: 0.1 - one, lambda: one - "1", lambda: "1" - one,
@@ -901,9 +901,9 @@ def test_the_frobenius_inverse_mod_p_matches_newtons_loop(tower):
     rng = random.Random(tower.p * 100 + tower.max_level)
     for level in range(tower.max_level + 1):
         for u in (tower.constant(level, -1), *(tower.random_unit(level, rng) for _ in range(3))):
-            want = tower._pack(newton_mod_p(tower, u))
-            assert tower._pack(tower.invert(tower.truncate(u, 1))) == want
-            assert tower._pack(tower.truncate(tower.invert(u), 1)) == want
+            want = newton_mod_p(tower, u)._packed
+            assert tower.invert(tower.truncate(u, 1))._packed == want
+            assert tower.truncate(tower.invert(u), 1)._packed == want
 
 
 @pytest.mark.parametrize("cap", [1, 2, 20])
@@ -1129,10 +1129,10 @@ def oracle_power(tower, level, a, n):
 @given(small_elements(count=2), st.integers(1, 12))
 def test_mul_and_power_match_the_convolution_oracle(case, n):
     tower, x, y = case
-    a, b = tower._pack(x), tower._pack(y)
-    assert tower._pack(tower.mul(x, y)) == oracle_product(tower, x.level, a, b)
-    assert tower._pack(tower.mul(x, x)) == oracle_product(tower, x.level, a, a)
-    assert tower._pack(tower.power(x, n)) == oracle_power(tower, x.level, a, n)
+    a, b = x._packed, y._packed
+    assert tower.mul(x, y)._packed == oracle_product(tower, x.level, a, b)
+    assert tower.mul(x, x)._packed == oracle_product(tower, x.level, a, a)
+    assert tower.power(x, n)._packed == oracle_power(tower, x.level, a, n)
 
 
 T5 = CyclotomicTower(TowerParams(p=5, s=1, max_level=3, prec=60))
@@ -1156,10 +1156,10 @@ def test_big_products_match_the_convolution_oracle(digits, kind):
     if kind == "square":
         b = a
     x, y = T5._unpack(level, a), T5._unpack(level, b)
-    assert T5._pack(T5.mul(x, y)) == oracle_product(T5, level, a, b)
+    assert T5.mul(x, y)._packed == oracle_product(T5, level, a, b)
     if kind == "pair":
         n = 10 if digits == 1 else 3
-        assert T5._pack(T5.power(x, n)) == oracle_power(T5, level, a, n)
+        assert T5.power(x, n)._packed == oracle_power(T5, level, a, n)
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -1316,7 +1316,7 @@ def test_power_at_one_digit_is_the_square_and_multiply_triple(case):
     # units take Frobenius for the p-part of n; either way the triple is
     # byte-equal to square-and-multiply
     tower, x, n = case
-    assert tower._pack(tower.power(x, n)) == tower._pack(power_oracle(tower, x, n))
+    assert tower.power(x, n)._packed == power_oracle(tower, x, n)._packed
 
 
 def test_a_nonunit_at_one_digit_keeps_square_and_multiply():
@@ -1325,7 +1325,7 @@ def test_a_nonunit_at_one_digit_keeps_square_and_multiply():
     tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=1, prec=8))
     x = tower.from_int_coeffs(1, [0, 0, 0, 1, 1, 1], 1)
     got = tower.power(x, 27)
-    assert tower._pack(got) == tower._pack(power_oracle(tower, x, 27))
+    assert got._packed == power_oracle(tower, x, 27)._packed
     assert got.cap == 7
 
 
@@ -1349,8 +1349,8 @@ def test_galois_apply_matches_the_reference_loop_under_every_unit(p, levels):
             if unit % p:
                 g = tower.galois_by_unit(level, unit)
                 for x in xs:
-                    want = act_reference(tower, level, unit, tower._pack(x))
-                    assert tower._pack(tower.galois_apply(g, x)) == want
+                    want = act_reference(tower, level, unit, x._packed)
+                    assert tower.galois_apply(g, x)._packed == want
     info = _galois_index.cache_info()
     assert info.maxsize == 64 and info.currsize <= info.maxsize
 
@@ -1399,7 +1399,7 @@ def test_the_norm_at_one_digit_is_the_conjugate_product_triple(key, data):
         for n in range(m):
             got = tower.norm_down(x, n)
             assert got.level == n
-            assert tower._pack(got) == tower._pack(norm_by_conjugates(tower, x, n)), (m, n)
+            assert got._packed == norm_by_conjugates(tower, x, n)._packed, (m, n)
 
 
 def test_a_nonunit_at_one_digit_keeps_the_conjugate_norm():
@@ -1408,9 +1408,9 @@ def test_a_nonunit_at_one_digit_keeps_the_conjugate_norm():
     tower = CyclotomicTower(TowerParams(p=2, s=2, max_level=2, prec=8))
     x = tower.from_int_coeffs(2, [0, 0, 1, 1, 0, 0, 1, 1], 1)
     got = tower.norm_down(x, 0)
-    assert tower._pack(got) == tower._pack(norm_by_conjugates(tower, x, 0))
+    assert got._packed == norm_by_conjugates(tower, x, 0)._packed
     assert got.is_all_bottom and got.cap == 2
-    assert tower._frobenius(2, tower._pack(x)[2], 4)[:2] == (1, 0)
+    assert tower._frobenius(2, x._packed[2], 4)[:2] == (1, 0)
     unit = tower.from_int_coeffs(1, [1, 1, 0, 1], 1)
     for level in (2, -1):
         with pytest.raises(DomainError):
@@ -1418,7 +1418,7 @@ def test_a_nonunit_at_one_digit_keeps_the_conjugate_norm():
 
 
 def test_trace_rejects_conjugates_that_differ_in_shift(tw):
-    packed = tw._pack(tw.random_unit(1, random.Random(83)))
+    packed = tw.random_unit(1, random.Random(83))._packed
     other = (packed[0] + 1, packed[1], packed[2])
     with pytest.raises(PadicError):
         tw._sum(1, [packed, other])
@@ -1449,7 +1449,7 @@ def test_element_str_mentions_level(tw):
 
 
 # Results of the packed kernels hold only their triple and build coordinates
-# on first read.  The triple must be what `_pack` makes of those coordinates,
+# on first read.  The triple must be what `pack` makes of those coordinates,
 # normalised, and cap, zero test and JSON must not depend on the view.
 
 
@@ -1457,7 +1457,7 @@ def assert_packed_view(tower, y, what):
     assert y._coeffs is None, what
     seen = (y._packed, y.cap, y.is_all_bottom)
     rebuilt = TowerElement(tower, y.level, y.coeffs)
-    assert seen == (tower._pack(rebuilt), rebuilt.cap, rebuilt.is_all_bottom), what
+    assert seen == (rebuilt._packed, rebuilt.cap, rebuilt.is_all_bottom), what
     assert y.to_json() == rebuilt.to_json(), what
 
 
@@ -1511,6 +1511,29 @@ def test_ragged_scalars_are_cut_to_their_least_cap(key, data):
     cut = TowerElement(tower, level, [c.truncate(cap) for c in coeffs])
     assert x.to_json() == cut.to_json()
     assert (x.cap, x.is_all_bottom) == (cap, all(c.is_bottom for c in cut.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.booleans(), st.data())
+def test_an_element_built_from_scalars_holds_its_triple(key, ragged, data):
+    # packed when built, from an iterable read once, and no coordinate kept;
+    # at one cap the scalar view gives back the scalars it was built from
+    tower = SMALL[key]
+    p, level = tower.p, data.draw(st.integers(0, tower.max_level))
+    top = data.draw(st.integers(1, tower.prec + 3))
+    coeffs = []
+    for _ in range(tower.phi(level)):
+        cap = data.draw(st.integers(1, top)) if ragged else top
+        val = data.draw(st.integers(0, cap))
+        coeffs.append(PadicScalar.from_int(p, p**val * data.draw(st.integers(1, p**cap)), cap))
+    x = TowerElement(tower, level, iter(coeffs))
+    shift, digits, ints = x._packed
+    assert x._coeffs is None and len(ints) == tower.phi(level)
+    assert x.cap == min(c.prec for c in coeffs)
+    assert all(0 <= a < p**digits for a in ints)
+    assert any(a % p for a in ints) if digits else not any(ints)
+    if not ragged:
+        assert [c.to_json() for c in x.coeffs] == [c.to_json() for c in coeffs]
 
 
 def norm_defect_inputs(tower, m):
@@ -1635,7 +1658,7 @@ def sub_cases(draw):
 
 
 def same_triple(tower, got, want):
-    return (got.level, tower._pack(got), got.cap) == (want.level, tower._pack(want), want.cap)
+    return (got.level, got._packed, got.cap) == (want.level, want._packed, want.cap)
 
 
 @settings(max_examples=150, deadline=None)
