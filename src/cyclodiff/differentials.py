@@ -85,9 +85,16 @@ def different(tower: CyclotomicTower, level: int, base: str = "K0") -> Fraction:
     """The valuation of the different over the base, read off its generator
     g'(rho_level) (`CyclotomicTower.minpoly_derivative_at_rho`), measured
     only: `tatediff` compares it with n and n + s - 1/(p-1), and
-    `different-drift-vanishes` judges the a and b read from it."""
+    `different-drift-vanishes` judges the a and b read from it.  A generator
+    that vanishes at the working precision is refused by name."""
     _check_base(base)
-    return tower.valuation(tower.minpoly_derivative_at_rho(level, over_qp=base == "Qp"))
+    v = tower.valuation_or_none(tower.minpoly_derivative_at_rho(level, over_qp=base == "Qp"))
+    if v is None:
+        raise InsufficientPrecision(
+            f"the different of level {level} over {base} vanishes at prec {tower.prec}:"
+            f" it needs prec > {modulus_valuation(tower, level, base)}"
+        )
+    return v
 
 
 def modulus_valuation(tower: CyclotomicTower, level: int, base: str) -> Fraction:
@@ -169,41 +176,39 @@ def echelon(p: int, int_columns, digits: int):
     """Column echelon form over Z_p of integer columns known mod p^digits.
 
     The one elimination kernel of the package.  Each round picks the pivot
-    with the smallest (valuation, row) among the nonzero entries in unused
-    rows, the first column winning ties; Z_p is a DVR, so this global
-    minimum keeps every elimination factor integral.  The unused rows are
-    first scanned in order for an entry prime to p, which is that minimum;
-    the valuations are read only when no unit is left.  The pivot column is
-    scaled until its pivot is exactly p^val and cleared from the remaining
-    columns.  Returns (pivot_columns, pivots) with pivots[k] = (row, val);
-    the vals ascend and are the elementary divisor valuations (Smith form
-    over a DVR).  Columns that vanish mod p^digits are dropped, so the rank
-    is len(pivots).
+    with the least (valuation, row) among the nonzero entries in unused rows,
+    the first column winning ties: over the DVR Z_p every elimination factor
+    is then integral.  One scan by level v finds it, as every entry left in
+    an unused row is 0 mod p^v: the first entry, in row order, that p^(v+1)
+    does not divide.  A row passed over leaves level v for good, since all
+    its entries (the pivot column's too) are 0 mod p^(v+1) and o - f*e keeps
+    them so; an empty level refills from the unused rows at v + 1, up to
+    digits.  Each pivot column is scaled to pivot p^v and cleared from the
+    rest.  Returns (pivot_columns, pivots), pivots[k] = (row, val): the vals
+    ascend and are the elementary divisor valuations (Smith form over a
+    DVR); columns that vanish mod p^digits are dropped, so the rank is
+    len(pivots).
     """
     mod = p ** digits
     work = [[e % mod for e in col] for col in int_columns]
     unused = list(range(len(work[0]) if work else 0))
     reduced, pivots = [], []
-    while work:
-        # the least (val, row, column index); a unit is it when there is one
-        best = next(((0, r, ci) for r in unused for ci, c in enumerate(work) if c[r] % p), None)
-        if best is None:
-            best = min(((vp(c[r], p), r, ci) for ci, c in enumerate(work)
-                        for r in unused if c[r]), default=None)
-        if best is None:
-            break
-        v, r, ci = best
-        pivot = work.pop(ci)
-        pv = p ** v
-        unit_inv = pow(pivot[r] // pv, -1, mod)
-        pivot = [e * unit_inv % mod for e in pivot]
-        for ci, other in enumerate(work):
-            f = other[r] // pv
-            if f:
-                work[ci] = [(o - f * e) % mod for o, e in zip(other, pivot)]
-        reduced.append(pivot)
-        pivots.append((r, v))
-        unused.remove(r)
+    for v in range(digits):
+        level, pv, step = unused[:], p ** v, p ** (v + 1)
+        while hit := next(((k, r, ci) for k, r in enumerate(level)
+                           for ci, c in enumerate(work) if c[r] % step), None):
+            k, r, ci = hit
+            level = level[k + 1:]  # the rows passed over hold no entry of valuation v
+            pivot = work.pop(ci)
+            unit_inv = pow(pivot[r] // pv, -1, mod)
+            pivot = [e * unit_inv % mod for e in pivot]
+            for ci, other in enumerate(work):
+                f = other[r] // pv
+                if f:
+                    work[ci] = [(o - f * e) % mod for o, e in zip(other, pivot)]
+            reduced.append(pivot)
+            pivots.append((r, v))
+            unused.remove(r)
     return reduced, pivots
 
 

@@ -290,4 +290,6 @@ class PadicScalar:
                 raise DomainError(f"scalar json key {key!r} exceeds the {CAP} cap")
         if obj["val"] is None:
             return cls.bottom(obj["p"], obj["prec"])
+        if obj["val"] >= obj["prec"]:
+            raise DomainError(f"scalar json val {obj['val']} is not below its prec {obj['prec']}")
         return cls.raw(obj["p"], obj["val"], obj["unit"], obj["prec"])

@@ -422,6 +422,49 @@ def test_bad_sample_count_exits_2(capsys, argv, message):
     assert err == f"tower: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, level, base, bound",
+    [
+        (["verify", "all", "--p", "2", "--s", "2", "--levels", "3", "--prec", "4"], 3, "Qp", "4"),
+        (["verify", "all", "--p", "2", "--s", "2", "--levels", "4", "--prec", "4"], 4, "K0", "4"),
+        (["verify", "all", "--p", "2", "--s", "2", "--levels", "4", "--prec", "5"], 4, "Qp", "5"),
+        (["verify", "all", "--p", "3", "--s", "1", "--levels", "4", "--prec", "4"], 4, "K0", "4"),
+        (["constants", "--p", "3", "--levels", "5", "--prec", "4"], 4, "K0", "4"),
+    ],
+)
+def test_a_different_that_vanishes_at_the_working_precision_exits_2(
+    capsys, argv, level, base, bound
+):
+    # g'(rho_n) has valuation n over K_0 and n + s - 1/(p-1) over Q_p, so it
+    # is zero at cap prec unless prec exceeds that bound
+    err = rejected(capsys, *argv)
+    prec = argv[-1]
+    assert err == (
+        f"tower: the different of level {level} over {base} vanishes at prec {prec}:"
+        f" it needs prec > {bound}\n"
+    )
+
+
+def test_a_tower_whose_differents_are_known_still_runs(capsys):
+    # prec 4 exceeds every level of a 3-level p = 2 tower over K_0
+    rc, rep = run_cli(capsys, "constants", "--p", "2", "--levels", "3", "--prec", "4")
+    assert rc == 0 and rep["kind"] == "constants"
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [{"p": 3, "val": 0, "unit": 2, "prec": -5}, {"p": 3, "val": 6, "unit": 1, "prec": 6}],
+)
+def test_a_json_scalar_whose_val_is_not_below_its_prec_exits_2(capsys, tmp_path, scalar):
+    # such a scalar is zero at its own cap, yet claims a valuation there
+    bottom = {"p": 3, "val": None, "unit": 0, "prec": 16}
+    element_file = _write(tmp_path / "elt.json", {"level": 1, "coeffs": [scalar] + [bottom] * 5})
+    err = rejected(capsys, "decompose", "--element-file", element_file, *FAST)
+    assert err == (
+        f"tower: scalar json val {scalar['val']} is not below its prec {scalar['prec']}\n"
+    )
+
+
 def test_determinism_across_invocations(capsys):
     rc1, rep1 = run_cli(capsys, "decompose", "--random", "--seed", "3", *FAST)
     rc2, rep2 = run_cli(capsys, "decompose", "--random", "--seed", "3", *FAST)

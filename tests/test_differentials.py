@@ -737,8 +737,8 @@ def test_flat_decompose_matches_the_product_loops(p, seed, kind, data):
 
 
 def echelon_oracle(p, int_columns, digits):
-    """`echelon` before the unit-first scan: every round reads the valuation
-    of every entry in the unused rows, and eliminates entry by entry."""
+    """`echelon` as a full scan: every round reads the valuation of every
+    entry in the unused rows, and eliminates entry by entry."""
     mod = p ** digits
     work = [[e % mod for e in col] for col in int_columns]
     used = set()
