@@ -17,7 +17,8 @@ and everything else is a minimum or a threshold on it:
   sum_n p^(n-c) O_{K_n}, read componentwise, which is exact because R_n_perp
   maps each O_{K_m} into integers and kills the levels below n, and refused
   by the same bound when a vanishing component could need a larger slack;
-* `flatness_test` measures val((g_k - 1) x) - k for the layer generators g_k.
+* `flatness_test` measures val((g_k - 1) x) - k for the layer generators g_k,
+  refused where a difference vanishes at a cap below the working precision.
 """
 
 from __future__ import annotations
@@ -186,12 +187,16 @@ def flatness_test(tower: CyclotomicTower, x: TowerElement) -> tuple:
 
     g_k generates the automorphisms fixing K_k, so a nonnegative margin at
     every k certifies that x sits p^k-close to each sublevel in the Galois
-    sense; the minimum margin is the flatness defect.
+    sense; the minimum margin is the flatness defect.  A (g_k - 1) x that
+    vanishes at a cap c below the working precision has a margin of only
+    >= c - k, which no None can stand for: InsufficientPrecision is raised.
     """
     lev = x.level
     out = []
     for k in range(lev):
-        g = tower.layer_generator(k, lev)
-        v = tower.valuation_or_none(tower.galois_apply(g, x) - x)
+        moved = tower.galois_apply(tower.layer_generator(k, lev), x) - x
+        v = tower.valuation_or_none(moved)
+        if v is None and moved.cap < tower.prec:
+            raise InsufficientPrecision(f"(g_{k} - 1) x vanishes at its cap {moved.cap}")
         out.append((k, None if v is None else v - k))
     return tuple(out)

@@ -11,7 +11,10 @@ Every constant is computed from tower data, never assumed:
   while N(x) - x^deg is all bottom.  A unit rung at one digit costs two
   re-indexes (N(x) and x^deg are both Frobenius mod p).  The ladder is
   exact: a difference that is not all bottom has the valuation of every
-  lift of the truncated x, since every tower op keeps a sound cap;
+  lift of the truncated x, since every tower op keeps a sound cap.  The cells
+  (n, m - n) share each basis element's first rung: N_{K_m/K_n} composes the
+  layer norms and x^(p^k) = (x^(p^(k-1)))^p, so one norm chain and one p-power
+  chain serve every n, at the one-call rung's cap or a higher one;
 * m_c is the smallest m with p^m c_norm >= 1/(p-1);
 * c_2 bounds the normalized-trace denominators from basis minima (the
   projectors are coordinate masks, so the honest minimum is 0);
@@ -34,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -89,19 +93,28 @@ def norm_congruence_cell(
     so far; and the full-cap rung is the same on any schedule.  The draws,
     the truncations and the difference (`CyclotomicTower.norm_defect`) stay
     packed triples, so a rung builds no `PadicScalar`.
+
+    The cells of top level m share a basis element's first rung
+    (`_first_rungs`): N_{K_m/K_n} composes the layer norms and x^(p^k) =
+    (x^(p^(k-1)))^p, so one `norm_down` per layer and one `power(., p)` per
+    step serve every n.  The chain's caps are sound, at least the one call's,
+    and a higher cap only ends a climb sooner.  n < 0 and k < 1 are refused.
     """
+    if n < 0 or k < 1:
+        raise DomainError(f"a norm cell needs n >= 0 and k >= 1, got ({brief(n)}, {brief(k)})")
     m = n + k
     deg = tower.p ** k
     rng = cell_rng(seed, "fonemb", n, k)
     best: Optional[Fraction] = None
 
-    def consider(x, val_x: Fraction):
+    def consider(x, val_x: Fraction, rung=None):
         nonlocal best
         digits = min(8 if val_x or best is None else max(1, math.ceil(best)), x.cap)
         while True:
-            xd = tower.truncate(x, digits)
-            diff = tower.norm_defect(xd, n)
-            v = tower.valuation_or_none(diff)
+            if rung is None:
+                diff = tower.norm_defect(tower.truncate(x, digits), n)
+                rung = tower.valuation_or_none(diff), diff.cap
+            (v, cap), rung = rung, None
             if v is not None:
                 v -= deg * val_x
                 if best is None or v < best:
@@ -109,17 +122,36 @@ def norm_congruence_cell(
                 return
             if digits == x.cap:
                 return  # congruence exact to precision: no constraint
-            if best is not None and diff.cap - deg * val_x >= best:
-                return  # val of the full difference is >= diff.cap
+            if best is not None and cap - deg * val_x >= best:
+                return  # val of the full difference is >= its cap
             digits = min(2 * digits, x.cap)
 
     for i in range(tower.phi(m)):
-        consider(tower.rho_power(m, i), Fraction(i, tower.phi(m)))
+        x = tower.rho_power(m, i)
+        consider(x, Fraction(i, tower.phi(m)), _first_rungs(tower, m, i, x)[n])
     for _ in range(samples):
         consider(tower.random_unit(m, rng), Fraction(0))
     if best is None:
         raise InsufficientPrecision(f"norm congruence invisible at cell ({n},{k})")
     return best
+
+
+_FIRST_RUNGS = weakref.WeakKeyDictionary()  # tower -> {(m, i): rungs}, dropped with it
+
+
+def _first_rungs(tower: CyclotomicTower, m: int, i: int, x) -> list:
+    """(val or None, cap) of N(y) - y^(p^(m-n)) for each n < m, y = x =
+    rho_m^i cut to min(8, cap) digits; memoised per (m, i) while the tower lives."""
+    memo = _FIRST_RUNGS.setdefault(tower, {})
+    if (m, i) not in memo:
+        norm = power = tower.truncate(x, min(8, x.cap))
+        rungs = []
+        for n in range(m - 1, -1, -1):
+            norm, power = tower.norm_down(norm, n), tower.power(power, tower.p)
+            diff = tower.embed(norm, m) - power
+            rungs.append((tower.valuation_or_none(diff), diff.cap))
+        memo[m, i] = rungs[::-1]
+    return memo[m, i]
 
 
 def trace_bound_cell(tower: CyclotomicTower, n: int, k: int) -> Fraction:

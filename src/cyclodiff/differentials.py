@@ -397,24 +397,43 @@ def divisibility_exponent(tower: CyclotomicTower, x: TowerElement, m: int) -> Op
     (n_0 = 0 in `kernel_shift`), and ker(d) at level(x) meets O_{K_m} in ker(d)
     at level m, since d(rho_m) = p^(level(x) - m) * unit * d(rho_level(x)).  So
     the test at i = m is exactly dx = 0, and passing it means None.
+
+    Digits x does not know can move the answer, and then InsufficientPrecision
+    is raised.  A coefficient that vanishes at cap c below its table entry may
+    have any val >= c, which matters where c is below the answer.  Below x's
+    level, each p^cap rho_0^j rho_lev^i outside ker(d) must lie in the last
+    lattice tried: then every lift passes and fails where x does.
     """
     tower._check_level(m)
-    lev = x.level
+    lev, e0 = x.level, tower.phi(0)
     if m >= lev:
         coeffs = tower.to_rho_basis(tower.embed(x, m))
-        exps, e0 = kernel_lattice(tower, m).exps, tower.phi(0)
+        exps = kernel_lattice(tower, m).exps
         vals = [(k, tower.valuation_or_none(coeffs[k])) for k in range(1, len(coeffs))]
         low = [math.floor(v) for k, v in vals if v is not None and v * e0 < exps[k]]  # not admitted
-        return min(low, default=None)
-    ker_cols = kernel_mixed_columns(tower, kernel_lattice(tower, lev, "K0"))
+        answer = min(low, default=None)
+        blind = [coeffs[k].cap for k, v in vals if v is None and coeffs[k].cap * e0 < exps[k]]
+        if blind and (answer is None or min(blind) < answer):
+            raise InsufficientPrecision(f"a rho coefficient vanishes at its cap {min(blind)}")
+        return answer
+    ker = kernel_lattice(tower, lev, "K0")
+    ker_cols = kernel_mixed_columns(tower, ker)
     base_cols = sublevel_columns(tower, m, lev)
     xvec = mixed_coords(tower, x)
-    dim = len(xvec)
+    dim, answer = len(xvec), None
     for i in range(m + 1):
         cols = [[e.shift(i) for e in col] for col in base_cols] + ker_cols
-        if not LatticeBasis.from_generators(tower.p, dim, cols).contains(xvec):
-            return i - 1
-    return None
+        lattice = LatticeBasis.from_generators(tower.p, dim, cols)
+        if not lattice.contains(xvec):
+            answer = i - 1
+            break
+    for r, c in enumerate(xvec):
+        if c.prec * e0 + r % e0 < ker.exps[r // e0]:  # p^cap at slot r lies outside ker(d)
+            unknown = [PadicScalar.bottom(tower.p, tower.prec)] * dim
+            unknown[r] = PadicScalar.raw(tower.p, c.prec, 1, tower.prec)
+            if not lattice.contains(unknown):
+                raise InsufficientPrecision(f"mixed coordinate {r} is known only to cap {c.prec}")
+    return answer
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ address space to 1 GB (`RLIMIT_AS`) before it imports the package.  The
 script prints one line per row: `ok` or `MISMATCH`, the wall time of the
 child from start to exit, its peak RSS, and the report's hash.  It exits 1
 on any mismatch or failed child.  NAME picks rows by name; with none, every
-row runs (about 4 minutes on a 2-core machine, 2 of them p3-l6).  The
+row runs (about 3 minutes on a 2-core machine, 1.5 of them p3-l6).  The
 rows lie outside every benchmark and every tier-1 test; they are where the
 lattice kernel and the constants cells meet towers deeper than the desk
 configs.

@@ -226,6 +226,33 @@ def test_a_membership_that_a_vanishing_component_could_raise_is_refused():
         layered_sum_membership(t, x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
+def test_reported_flatness_margins_hold_for_every_lift(p, seed, data):
+    tower = SMALL[p]
+    x, lifts = cut_sum_and_lifts(p, seed, data)
+    try:
+        margins = flatness_test(tower, x)
+    except InsufficientPrecision:
+        return
+    for lift in lifts:
+        assert flatness_test(tower, lift) == margins
+
+
+def test_a_flatness_that_unknown_digits_could_move_is_refused():
+    """1 + O(3) at level 2 of (3,1,2,6): (g_0 - 1) x and (g_1 - 1) x vanish at
+    cap 1, which read as "g_k fixes x", yet the lifts 1 + 3 zeta at caps 2
+    and 6 have margins 7/6 and 1/2."""
+    t = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=6))
+    x = t.from_int_coeffs(2, [1, 3], 1)
+    for cap in (2, 6):
+        lift = t.from_int_coeffs(2, [1, 3], cap)
+        assert t.truncate(lift, 1).to_json() == x.to_json()
+        assert flatness_test(t, lift) == ((0, Fraction(7, 6)), (1, Fraction(1, 2)))
+    with pytest.raises(InsufficientPrecision):
+        flatness_test(t, x)
+
+
 def test_component_valuations_shape(t3):
     # rho_2 = zeta_27 - 1 splits as -1 (level 0) + zeta_27 (level 2),
     # nothing new at level 1

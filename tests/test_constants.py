@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from cyclodiff.differentials import differential, echelon
-from cyclodiff.errors import InsufficientPrecision
+from cyclodiff import constants
+from cyclodiff.errors import DomainError, InsufficientPrecision
 from cyclodiff.padic import vp
 from cyclodiff.tower import CyclotomicTower, TowerParams
 from cyclodiff.constants import (
@@ -281,6 +284,70 @@ def test_norm_ladder_starts_at_8_digits_and_climbs_on_bottom(monkeypatch, prec):
             assert cap == min(2 * before, prec)
     # x = rho^0 = 1: N(1) - 1^p is exactly zero, bottom on every rung
     assert climbs[0][1] == ([8, 16, 24] if prec == 24 else [6])
+
+
+# ---------------------------------------------------------------------------
+# the first rung shared by the cells of one top level
+# ---------------------------------------------------------------------------
+
+
+CHAIN_TOWERS = [(2, 2, 4, 5), (2, 2, 3, 20), (3, 1, 3, 6), (3, 1, 3, 24), (5, 1, 2, 9), (7, 1, 1, 4)]
+
+
+@pytest.mark.parametrize("p, s, levels, prec", CHAIN_TOWERS)
+def test_the_chain_rung_is_the_one_call_rung_or_a_sharper_one(p, s, levels, prec):
+    """Each basis element's first rung, read off the norm and p-power chains
+    down from its level, against `norm_defect` of the element cut to min(8,
+    prec) digits in one call: never a lower cap; the same reading at the same
+    cap, or wherever both are not all bottom (each is then exact for every
+    lift); a bottom at a higher cap is a bottom at the lower one; and a
+    valuation that only the chain sees lies at or above the one call's cap."""
+    tower = CyclotomicTower(TowerParams(p=p, s=s, max_level=levels, prec=prec))
+    for m in range(1, levels + 1):
+        for i in range(tower.phi(m)):
+            x = tower.rho_power(m, i)
+            rungs = constants._first_rungs(tower, m, i, x)
+            assert len(rungs) == m
+            for n, (v, cap) in enumerate(rungs):
+                diff = tower.norm_defect(tower.truncate(x, min(8, prec)), n)
+                want = tower.valuation_or_none(diff)
+                assert cap >= diff.cap, (m, i, n)
+                if cap == diff.cap or v is None or want is not None:
+                    assert v == want, (m, i, n)
+                else:
+                    assert v >= diff.cap, (m, i, n)
+
+
+@pytest.mark.parametrize("p, s, levels, prec", [(2, 2, 3, 12), (3, 1, 3, 12)])
+def test_the_cells_in_reverse_and_again_match_the_full_precision_oracle(p, s, levels, prec):
+    # the first cell called at each top level fills the shared rungs; the
+    # cells called after it, in either order, read them
+    tower = CyclotomicTower(TowerParams(p=p, s=s, max_level=levels, prec=prec))
+    cells = norm_cells(tower)
+    want = {cell: full_precision_cell(tower, *cell, 0, 4) for cell in cells}
+    for n, k in [*reversed(cells), *cells]:
+        assert norm_congruence_cell(tower, n, k, 0, 4) == want[n, k], (n, k)
+
+
+def test_the_shared_rungs_are_dropped_with_their_tower():
+    tower = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=10))
+    norm_congruence_cell(tower, 0, 2, seed=0, samples=1)
+    assert sorted(constants._FIRST_RUNGS[tower]) == [(2, i) for i in range(tower.phi(2))]
+    gc.collect()
+    held = len(constants._FIRST_RUNGS)
+    dropped = weakref.ref(tower)
+    del tower
+    gc.collect()
+    assert dropped() is None
+    assert len(constants._FIRST_RUNGS) == held - 1
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (1, -1), (-1, 2)])
+def test_a_norm_cell_needs_a_level_and_at_least_one_layer(t3, n, k):
+    # (n, 0) compares N(x) = x with x^1 and can never see a defect; n = -1
+    # would read the shared rungs from their end
+    with pytest.raises(DomainError, match="n >= 0 and k >= 1"):
+        norm_congruence_cell(t3, n, k, seed=0, samples=2)
 
 
 @pytest.mark.parametrize("p, levels, prec", [*SWEEP_TOWERS, (2, 6, 8), (11, 1, 6)])

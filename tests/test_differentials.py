@@ -493,6 +493,44 @@ def test_the_downward_search_ends_at_m(t3, t2):
     assert answers == {None, -1, 0, 1}
 
 
+def test_a_divisibility_that_unknown_digits_could_move_is_refused():
+    """1 + O(3) at level 2 of (3,1,2,6): its rho coefficients above slot 0
+    vanish at cap 1, and so does dx, yet the lifts 1 + 3 zeta at caps 2 and 6
+    give -1 at m = 0 and 1 (lattice branch) and 1 at m = 2 (coefficients)."""
+    t = CyclotomicTower(TowerParams(p=3, s=1, max_level=2, prec=6))
+    x = t.from_int_coeffs(2, [1, 3], 1)
+    for cap in (2, 6):
+        lift = t.from_int_coeffs(2, [1, 3], cap)
+        assert t.truncate(lift, 1).to_json() == x.to_json()
+        assert [divisibility_exponent(t, lift, m) for m in (0, 1, 2)] == [-1, -1, 1]
+    for m in (0, 1, 2):
+        with pytest.raises(InsufficientPrecision):
+            divisibility_exponent(t, x, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2**32), st.data())
+def test_a_reported_divisibility_exponent_holds_for_every_lift(p, seed, data):
+    """x is a kernel element plus p^i y, y from some level, cut to a cap of at
+    most 3 (the tower levels reach 2, so higher caps leave dx known); the
+    lifts agree with x at that cap."""
+    tower = SMALL[p]
+    lev = data.draw(st.integers(1, tower.max_level))
+    m = data.draw(st.integers(0, tower.max_level))
+    rng = random.Random(seed)
+    y = tower.embed(tower.random_integral(data.draw(st.integers(0, lev)), rng), lev)
+    full = random_kernel_element(tower, lev, rng) + tower.scale_p(y, data.draw(st.integers(0, 2)))
+    cap = data.draw(st.integers(1, min(full.cap, 3)))
+    x = tower.truncate(full, cap)
+    try:
+        got = divisibility_exponent(tower, x, m)
+    except InsufficientPrecision:
+        return
+    for lift in (full, x + tower.scale_p(tower.random_integral(lev, rng), cap)):
+        assert tower.truncate(lift, cap).to_json() == x.to_json()
+        assert divisibility_exponent(tower, lift, m) == got, (tower.params, lev, m, cap)
+
+
 # ---------------------------------------------------------------------------
 # flat decomposition
 # ---------------------------------------------------------------------------
